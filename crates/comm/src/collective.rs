@@ -3,11 +3,9 @@
 //! In the simulated runtime a collective is just a reduction over the
 //! per-rank values computed in the preceding superstep, but each call is
 //! recorded so the cost model can charge the `α·⌈log₂P⌉` latency a tree
-//! allreduce would incur on the real machine. The Δ-stepping engine issues
-//! collectives exactly where the paper's distributed implementation does:
-//! activity checks at every phase, next-bucket selection at every epoch,
-//! settled-count aggregation for the hybrid switch, and volume estimates for
-//! the push/pull decision.
+//! allreduce would incur on the real machine. The simulated BFS,
+//! components, PageRank and Crauser kernels use these; the Δ-stepping
+//! engine issues its collectives through a [`crate::transport::Transport`].
 
 use crate::fingerprint::{
     FP_ALLGATHER, FP_REDUCE_ANY, FP_REDUCE_F64, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM,

@@ -5,14 +5,15 @@
 //! per destination, concatenating in source-rank order so delivery is
 //! deterministic, and records the traffic in a [`StepStats`].
 //!
-//! Two delivery flavors exist: the original consuming [`exchange`] /
-//! [`exchange_with`] (fresh inboxes every call) and the pooled
-//! [`exchange_pooled`] / [`ExchangeBuffers`] path, which recycles both
-//! outbox lanes and inboxes across supersteps so a steady-state superstep
-//! performs no heap allocation. Both produce identical delivery order and
-//! identical [`StepStats`].
+//! Two delivery flavors exist: the consuming [`exchange`] /
+//! [`exchange_with`] (fresh inboxes every call) and [`exchange_pooled`],
+//! which drains caller-owned outboxes into caller-owned inboxes so both
+//! keep their capacity across supersteps. Both produce identical delivery
+//! order and identical [`StepStats`]. The SSSP engine's own exchanges run
+//! through a [`crate::transport::Transport`].
 
 use crate::stats::StepStats;
+use crate::transport::wire_bytes;
 use crate::Rank;
 
 /// Per-source outboxes: `out[dst]` holds the messages this rank sends to
@@ -88,12 +89,7 @@ pub fn exchange_pooled<M>(
     let p = outboxes.len();
     assert_eq!(inboxes.len(), p, "inbox fan-out mismatch");
     let mut stats = StepStats::default();
-    let wire = |count: u64| -> u64 {
-        match packet {
-            Some(cfg) => cfg.wire_bytes(count, msg_bytes),
-            None => count * msg_bytes as u64,
-        }
-    };
+    let wire = |count: u64| wire_bytes(count, msg_bytes, packet);
 
     // Per-rank send accounting (before the moves).
     for (src, ob) in outboxes.iter().enumerate() {
@@ -206,89 +202,6 @@ pub fn shrink_oversized<M>(buf: &mut Vec<M>, high_water: usize) -> bool {
     }
 }
 
-/// A recycled outbox/inbox set for one message type, reused across
-/// supersteps. One [`Outbox`] per source rank, one inbox per destination
-/// rank; [`ExchangeBuffers::exchange`] moves queued messages from the
-/// former to the latter while every buffer keeps its capacity.
-#[derive(Debug)]
-pub struct ExchangeBuffers<M> {
-    /// One outbox per source rank (`outboxes[src].out[dst]`).
-    pub outboxes: Vec<Outbox<M>>,
-    /// One inbox per destination rank, refilled by each exchange.
-    pub inboxes: Vec<Vec<M>>,
-    /// Largest single-buffer fill observed since the last
-    /// [`ExchangeBuffers::shrink_to_watermark`] — the shrink policy's
-    /// high-water mark.
-    watermark: usize,
-}
-
-impl<M> ExchangeBuffers<M> {
-    /// Empty buffer set for `p` ranks.
-    pub fn new(p: usize) -> Self {
-        ExchangeBuffers {
-            outboxes: (0..p).map(|_| Outbox::new(p)).collect(),
-            inboxes: (0..p).map(|_| Vec::new()).collect(),
-            watermark: 0,
-        }
-    }
-
-    /// Number of ranks this buffer set serves.
-    pub fn num_ranks(&self) -> usize {
-        self.outboxes.len()
-    }
-
-    /// Deliver all queued outbox messages into the inboxes (see
-    /// [`exchange_pooled`]) and return the step's traffic statistics.
-    pub fn exchange(
-        &mut self,
-        msg_bytes: usize,
-        packet: Option<&crate::packet::PacketConfig>,
-    ) -> StepStats {
-        for ob in &self.outboxes {
-            for lane in &ob.out {
-                self.watermark = self.watermark.max(lane.len());
-            }
-        }
-        let stats = exchange_pooled(&mut self.outboxes, &mut self.inboxes, msg_bytes, packet);
-        for ib in &self.inboxes {
-            self.watermark = self.watermark.max(ib.len());
-        }
-        stats
-    }
-
-    /// Apply the [`shrink_oversized`] 4× policy to every lane and inbox,
-    /// using the high-water mark accumulated since the previous call, then
-    /// reset the mark. Callers invoke this at epoch boundaries so one
-    /// outsized superstep cannot pin its peak capacity for the whole run.
-    ///
-    /// Returns the number of buffers shrunk.
-    pub fn shrink_to_watermark(&mut self) -> usize {
-        let hwm = self.watermark;
-        let mut shrunk = 0;
-        for ob in &mut self.outboxes {
-            for lane in &mut ob.out {
-                shrunk += usize::from(shrink_oversized(lane, hwm));
-            }
-        }
-        for ib in &mut self.inboxes {
-            shrunk += usize::from(shrink_oversized(ib, hwm));
-        }
-        self.watermark = 0;
-        shrunk
-    }
-
-    /// Drop every held buffer, replacing it with a fresh zero-capacity one.
-    /// This deliberately reinstates the per-superstep allocation pattern the
-    /// pool exists to avoid — the differential tests and the allocation
-    /// benchmark use it to emulate a non-pooled engine.
-    pub fn reset_capacity(&mut self) {
-        let p = self.outboxes.len();
-        self.outboxes = (0..p).map(|_| Outbox::new(p)).collect();
-        self.inboxes = (0..p).map(|_| Vec::new()).collect();
-        self.watermark = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,69 +259,6 @@ mod tests {
         assert_eq!(stats, StepStats::default());
     }
 
-    /// Fill one rank's worth of traffic into both a fresh outbox set and a
-    /// pooled buffer set and compare delivery + stats.
-    #[test]
-    fn pooled_matches_fresh_exchange() {
-        let p = 3;
-        let fill = |send: &mut dyn FnMut(usize, usize, (usize, usize))| {
-            for src in 0..p {
-                for dst in 0..p {
-                    for _ in 0..(src + 2 * dst) {
-                        send(src, dst, (src, dst));
-                    }
-                }
-            }
-        };
-        let mut obs: Vec<Outbox<(usize, usize)>> = (0..p).map(|_| Outbox::new(p)).collect();
-        fill(&mut |s, d, m| obs[s].send(d, m));
-        let (fresh_in, fresh_stats) = exchange(obs, 16);
-
-        let mut bufs: ExchangeBuffers<(usize, usize)> = ExchangeBuffers::new(p);
-        assert_eq!(bufs.num_ranks(), p);
-        fill(&mut |s, d, m| bufs.outboxes[s].send(d, m));
-        let pooled_stats = bufs.exchange(16, None);
-        assert_eq!(bufs.inboxes, fresh_in);
-        assert_eq!(pooled_stats, fresh_stats);
-    }
-
-    #[test]
-    fn pooled_buffers_retain_capacity_across_supersteps() {
-        let p = 2;
-        let mut bufs: ExchangeBuffers<u64> = ExchangeBuffers::new(p);
-        for round in 0..3u64 {
-            for dst in 0..p {
-                for i in 0..50 {
-                    bufs.outboxes[0].send(dst, round * 100 + i);
-                }
-            }
-            bufs.exchange(8, None);
-            assert_eq!(bufs.inboxes[0].len(), 50);
-            assert_eq!(bufs.inboxes[1].len(), 50);
-            // Lanes are drained but keep their capacity.
-            for ob in &bufs.outboxes {
-                assert!(ob.total_msgs() == 0);
-            }
-            assert!(bufs.outboxes[0].out[0].capacity() >= 50);
-            assert!(bufs.inboxes[0].capacity() >= 50);
-        }
-        bufs.reset_capacity();
-        assert_eq!(bufs.outboxes[0].out[0].capacity(), 0);
-        assert_eq!(bufs.inboxes[0].capacity(), 0);
-    }
-
-    #[test]
-    fn pooled_exchange_clears_stale_inbox_contents() {
-        let mut bufs: ExchangeBuffers<u32> = ExchangeBuffers::new(2);
-        bufs.outboxes[0].send(1, 7);
-        bufs.exchange(4, None);
-        assert_eq!(bufs.inboxes[1], vec![7]);
-        // Next superstep sends nothing: the old message must not survive.
-        let stats = bufs.exchange(4, None);
-        assert!(bufs.inboxes[1].is_empty());
-        assert_eq!(stats, StepStats::default());
-    }
-
     #[test]
     fn coalesce_keeps_min_per_key() {
         let mut lane: Vec<(u32, u64)> = vec![(3, 9), (1, 5), (3, 2), (2, 7), (1, 5), (3, 11)];
@@ -459,29 +309,6 @@ mod tests {
         let mut spike: Vec<u8> = Vec::with_capacity(64);
         assert!(shrink_oversized(&mut spike, 0));
         assert_eq!(spike.capacity(), 0);
-    }
-
-    #[test]
-    fn watermark_shrink_releases_only_outsized_buffers() {
-        let p = 2;
-        let mut bufs: ExchangeBuffers<u64> = ExchangeBuffers::new(p);
-        // Epoch 1: a giant superstep grows rank 0's lane to ~4096.
-        for i in 0..4096 {
-            bufs.outboxes[0].send(1, i);
-        }
-        bufs.exchange(8, None);
-        assert_eq!(bufs.shrink_to_watermark(), 0, "peak epoch keeps its pool");
-        // Epoch 2: steady-state traffic is tiny; the giant buffers now
-        // exceed 4× the epoch's high-water mark and must be released.
-        for i in 0..4u64 {
-            bufs.outboxes[0].send(1, i);
-        }
-        bufs.exchange(8, None);
-        assert!(bufs.outboxes[0].out[1].capacity() >= 4096);
-        assert!(bufs.inboxes[1].capacity() >= 4096);
-        assert!(bufs.shrink_to_watermark() >= 2);
-        assert!(bufs.outboxes[0].out[1].capacity() <= 16);
-        assert!(bufs.inboxes[1].capacity() <= 16);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! messages through the SPI layer, synchronizing each Δ-stepping phase with
 //! collectives. This crate reproduces that execution model in-process:
 //!
-//! * **Ranks** — `P` logical processors, each owning private state. Rank
-//!   closures run in parallel (rayon) but only touch rank-local data, so
-//!   every run is deterministic.
+//! * **Ranks** — `P` logical processors, each owning private state.
+//! * **Transport** ([`transport`]) — what an SPMD program needs from the
+//!   machine: exchange plus the allreduce family. [`transport::SimWorld`]
+//!   runs every rank in one worker on the calling thread, so every run is
+//!   deterministic; [`threaded::RankCtx`] runs one OS thread per rank.
 //! * **Exchange** ([`exchange`]) — bulk-synchronous message delivery between
 //!   supersteps, with full accounting of message counts, bytes, and
 //!   per-rank maxima (the load-imbalance signal the paper's heuristics use).
@@ -41,8 +43,11 @@ pub mod lockorder;
 pub mod packet;
 /// Per-superstep traffic ledgers ([`stats::CommStats`]).
 pub mod stats;
-/// Real-thread SPMD runtime (one OS thread per rank) for differential tests.
+/// Real-thread SPMD runtime (one OS thread per rank).
 pub mod threaded;
+/// The transport trait the SPMD epoch loop runs over, and the simulator's
+/// single-worker transport ([`transport::SimWorld`]).
+pub mod transport;
 
 /// Index of a logical processor (the paper's "node"/"rank").
 pub type Rank = usize;

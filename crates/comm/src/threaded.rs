@@ -24,6 +24,7 @@ use crate::fingerprint::{
 };
 use crate::lockorder;
 use crate::packet::PacketConfig;
+use crate::transport::{wire_bytes, ExchangeCounts, Post, Transport};
 use crate::Rank;
 
 /// Smallest buffer capacity [`RankCtx::trim_spares`] will ever release. A
@@ -31,24 +32,6 @@ use crate::Rank;
 /// mark; without a floor that computed `limit = 0` and dumped the *entire*
 /// spare pool, forcing every lane to reallocate on the next busy epoch.
 pub const SPARE_CAPACITY_FLOOR: usize = 64;
-
-/// One rank's transport counts for a single pooled exchange, as seen from
-/// that rank: messages it sent to itself (`sent_local`), messages it put on
-/// the wire (`sent_remote`, with `sent_remote_bytes` of framed traffic) and
-/// the framed bytes it received from other ranks (`recv_remote_bytes`).
-/// Summing `sent_*` over all ranks reproduces the global per-superstep
-/// accounting of [`crate::exchange::exchange_pooled`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExchangeCounts {
-    /// Messages this rank addressed to itself (never on the wire).
-    pub sent_local: u64,
-    /// Messages this rank sent to other ranks.
-    pub sent_remote: u64,
-    /// Wire bytes of this rank's remote sends (packet framing applied).
-    pub sent_remote_bytes: u64,
-    /// Wire bytes this rank received from other ranks.
-    pub recv_remote_bytes: u64,
-}
 
 /// Per-rank context handed to the rank's thread. `M` is the message type
 /// of this world.
@@ -171,33 +154,9 @@ impl<M: Send> RankCtx<M> {
         self.lock_rec.observed_locks()
     }
 
-    /// Bulk-synchronous exchange: send `out[dst]` to every rank, receive
-    /// one batch from every rank, deliver concatenated in source order.
-    /// Blocks until all ranks have exchanged.
-    pub fn exchange(&self, out: Vec<Vec<M>>) -> Vec<M> {
-        assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
-        self.note_collective(FP_EXCHANGE);
-        for (dst, msgs) in out.into_iter().enumerate() {
-            // A peer disappearing mid-superstep is unrecoverable by design
-            // (SPMD contract), hence the allowed panic below.
-            self.senders[dst]
-                .send((self.rank, msgs))
-                .expect("peer hung up"); // sssp-lint: allow(no-panic-hot-path): SPMD contract
-        }
-        let mut batches: Vec<(Rank, Vec<M>)> =
-            // sssp-lint: allow(no-panic-hot-path): same SPMD contract as above.
-            (0..self.p).map(|_| self.inbox.recv().expect("peer hung up")).collect();
-        batches.sort_by_key(|&(src, _)| src);
-        let inbox: Vec<M> = batches.into_iter().flat_map(|(_, m)| m).collect();
-        // Close the superstep: no rank may start the next exchange before
-        // every rank has drained this one.
-        self.barrier.wait();
-        inbox
-    }
-
     /// Pooled bulk-synchronous exchange: drains `out[dst]` into recycled
     /// transport buffers, delivers the concatenated batches (source-rank
-    /// order, like [`RankCtx::exchange`]) into `inbox`, and keeps every
+    /// order) into `inbox`, and keeps every
     /// emptied buffer for the next superstep. `out` lanes are left empty
     /// with capacity intact, so after a warm-up superstep the steady state
     /// allocates nothing on either side of the channel.
@@ -219,12 +178,7 @@ impl<M: Send> RankCtx<M> {
     ) -> ExchangeCounts {
         assert_eq!(out.len(), self.p, "outbox fan-out mismatch");
         self.note_collective(FP_EXCHANGE);
-        let wire = |count: u64| -> u64 {
-            match packet {
-                Some(pk) => pk.wire_bytes(count, msg_bytes),
-                None => count * msg_bytes as u64,
-            }
-        };
+        let wire = |count: u64| wire_bytes(count, msg_bytes, packet);
         let mut counts = ExchangeCounts::default();
         for (dst, msgs) in out.iter_mut().enumerate() {
             self.watermark = self.watermark.max(msgs.len());
@@ -412,6 +366,64 @@ impl<M: Send> RankCtx<M> {
     }
 }
 
+/// A rank thread is a worker owning exactly one rank: the loop's fold over
+/// its block is the rank's own value, and every collective is the
+/// rendezvous above.
+impl<M: Send> Transport<M> for RankCtx<M> {
+    fn num_ranks(&self) -> usize {
+        self.p
+    }
+
+    fn ranks(&self) -> std::ops::Range<usize> {
+        self.rank..self.rank + 1
+    }
+
+    fn set_epoch(&mut self, epoch: u64) {
+        RankCtx::set_epoch(self, epoch);
+    }
+
+    fn exchange<S, P>(
+        &mut self,
+        block: &mut [S],
+        post: P,
+        msg_bytes: usize,
+        packet: Option<&PacketConfig>,
+    ) where
+        P: Fn(&mut S) -> Post<'_, M>,
+    {
+        assert_eq!(block.len(), 1, "a rank thread owns exactly one rank");
+        let pst = post(&mut block[0]);
+        *pst.counts = self.exchange_pooled_counted(pst.out, pst.inbox, msg_bytes, packet);
+    }
+
+    fn allreduce_min(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_min(self, value)
+    }
+
+    fn allreduce_min_window(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_min_window(self, value)
+    }
+
+    fn allreduce_max(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_max(self, value)
+    }
+
+    fn allreduce_sum(&mut self, value: u64) -> u64 {
+        RankCtx::allreduce_sum(self, value)
+    }
+
+    fn any(&mut self, flag: bool) -> bool {
+        RankCtx::any(self, flag)
+    }
+
+    /// Trim the spare pool against this epoch's high-water mark, then (in
+    /// debug builds) check that every rank folded the same schedule.
+    fn end_epoch(&mut self) {
+        self.trim_spares();
+        self.assert_schedule_uniform();
+    }
+}
+
 /// Spawn `p` rank threads, run `body` on each, and collect the results in
 /// rank order. `body` receives the rank's [`RankCtx`] and drives as many
 /// supersteps as it likes; all ranks must execute the same sequence of
@@ -488,12 +500,19 @@ where
 mod tests {
     use super::*;
 
+    /// One exchange of freshly built lanes.
+    fn swap<M: Send>(ctx: &mut RankCtx<M>, mut out: Vec<Vec<M>>) -> Vec<M> {
+        let mut inbox = Vec::new();
+        ctx.exchange_pooled(&mut out, &mut inbox);
+        inbox
+    }
+
     #[test]
     fn exchange_routes_and_orders_by_source() {
-        let inboxes = run_threaded(4, |ctx: RankCtx<(usize, usize)>| {
+        let inboxes = run_threaded(4, |mut ctx: RankCtx<(usize, usize)>| {
             let p = ctx.num_ranks();
             let out: Vec<Vec<(usize, usize)>> = (0..p).map(|dst| vec![(ctx.rank(), dst)]).collect();
-            ctx.exchange(out)
+            swap(&mut ctx, out)
         });
         for (dst, inbox) in inboxes.iter().enumerate() {
             let expect: Vec<(usize, usize)> = (0..4).map(|src| (src, dst)).collect();
@@ -503,14 +522,14 @@ mod tests {
 
     #[test]
     fn multiple_supersteps_stay_in_lockstep() {
-        let results = run_threaded(3, |ctx: RankCtx<u64>| {
+        let results = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut acc = ctx.rank() as u64;
             for _ in 0..5 {
                 // Everyone broadcasts its accumulator; each rank sums what
                 // it hears.
                 let out: Vec<Vec<u64>> = (0..p).map(|_| vec![acc]).collect();
-                let inbox = ctx.exchange(out);
+                let inbox = swap(&mut ctx, out);
                 acc = inbox.iter().sum();
             }
             acc
@@ -543,12 +562,12 @@ mod tests {
 
     #[test]
     fn collectives_and_exchanges_interleave() {
-        let results = run_threaded(3, |ctx: RankCtx<u64>| {
+        let results = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut x = ctx.rank() as u64;
             loop {
                 let out: Vec<Vec<u64>> = (0..p).map(|_| vec![x]).collect();
-                let inbox = ctx.exchange(out);
+                let inbox = swap(&mut ctx, out);
                 x = *inbox.iter().max().unwrap();
                 if ctx.any(x >= 2) {
                     break;
@@ -560,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_exchange_matches_consuming_exchange() {
+    fn pooled_exchange_delivers_every_round_in_source_order() {
         let inboxes = run_threaded(4, |mut ctx: RankCtx<(usize, usize)>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<(usize, usize)>> = (0..p).map(|_| Vec::new()).collect();
@@ -850,22 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_plain_exchange_interleave() {
-        let results = run_threaded(2, |mut ctx: RankCtx<u32>| {
-            let p = ctx.num_ranks();
-            let plain = ctx.exchange((0..p).map(|_| vec![1u32]).collect());
-            let mut out: Vec<Vec<u32>> = (0..p).map(|_| vec![2u32]).collect();
-            let mut inbox = Vec::new();
-            ctx.exchange_pooled(&mut out, &mut inbox);
-            (plain, inbox)
-        });
-        for (plain, pooled) in results {
-            assert_eq!(plain, vec![1, 1]);
-            assert_eq!(pooled, vec![2, 2]);
-        }
-    }
-
-    #[test]
     fn fingerprints_agree_across_ranks_and_rank_counts() {
         for p in [1, 3, 5] {
             let fps = run_threaded(p, |mut ctx: RankCtx<u64>| {
@@ -948,8 +951,8 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let out = run_threaded(1, |ctx: RankCtx<u32>| {
-            let inbox = ctx.exchange(vec![vec![7, 8]]);
+        let out = run_threaded(1, |mut ctx: RankCtx<u32>| {
+            let inbox = swap(&mut ctx, vec![vec![7, 8]]);
             (inbox, ctx.allreduce(9, |v| v[0]))
         });
         assert_eq!(out[0].0, vec![7, 8]);

@@ -2,7 +2,7 @@
 //!
 //! Each check is a thin `#[inline]` wrapper around `debug_assert!`, so
 //! release builds pay nothing while every debug test run exercises the
-//! checks on every relaxed edge, pull request and superstep:
+//! checks on every relaxed edge, pull request and epoch:
 //!
 //! * **IOS inner-edge bound** (§III-A) — short phases under IOS only relax
 //!   edges that are short *and* stay inside the current bucket.
@@ -11,10 +11,6 @@
 //! * **Bucket monotonicity** — a vertex only ever moves to a lower bucket
 //!   (checked in [`RankState::relax`](crate::state::RankState::relax)) and
 //!   the run loop processes strictly increasing bucket indices.
-//! * **Message conservation** — every superstep delivers exactly the
-//!   messages that were sent, per [`StepStats`] accounting.
-
-use sssp_comm::stats::StepStats;
 
 use crate::state::INF;
 
@@ -46,17 +42,6 @@ pub(super) fn check_pull_request(w: u32, dv: u64, k_delta: u64, short_bound: u64
     debug_assert!(
         dv == INF || (w as u64) < dv - k_delta,
         "pull request violates eq. 1: w = {w} cannot improve d(v) = {dv} (kΔ = {k_delta})"
-    );
-}
-
-/// Per-superstep message conservation: the inboxes delivered by an
-/// exchange must hold exactly `remote_msgs + local_msgs` messages.
-#[inline]
-pub(super) fn check_conservation<M>(inboxes: &[Vec<M>], step: &StepStats) {
-    debug_assert_eq!(
-        inboxes.iter().map(|b| b.len() as u64).sum::<u64>(),
-        step.remote_msgs + step.local_msgs,
-        "superstep message conservation violated: delivered != sent"
     );
 }
 

@@ -1,13 +1,9 @@
-//! Rank-local bodies of the relaxation phases, shared by both backends.
+//! Rank-local bodies of the relaxation phases.
 //!
-//! The simulated engine ([`super::Engine`]) calls these once per rank
-//! inside its parallel iterators; the real-thread engine
-//! ([`super::threaded`]) calls the very same functions on each rank's own
-//! OS thread. Every kernel reads and writes exactly one rank's
-//! [`RankState`] and emits messages through a caller-supplied sink, so the
-//! two backends cannot drift apart: there is one implementation of the
-//! relaxation logic, and the backends differ only in how the emitted
-//! messages travel.
+//! The epoch loop ([`super::epoch`]) calls these once per rank of the
+//! block its worker owns. Every kernel reads and writes exactly one rank's
+//! [`RankState`] and emits messages through a caller-supplied sink; the
+//! transport decides how the emitted messages travel.
 //!
 //! The kernels cut edges against an [`EpochWindow`], not a raw bucket:
 //! the stepping policy resolves each epoch's window once, and everything

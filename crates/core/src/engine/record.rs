@@ -1,42 +1,77 @@
-//! The run-telemetry recorder: one abstraction both backends feed their
+//! The run-telemetry recorder: one abstraction the epoch loop feeds its
 //! per-superstep, per-phase and per-bucket observations through.
 //!
-//! The simulated engine records into its [`RunStats`] directly (stats are
-//! the whole point of simulation, so its recorder is always on). The
-//! real-thread engine is generic over [`Recorder`]: the wall-clock entry
-//! point instantiates the zero-sized [`NoopRecorder`] — every call inlines
-//! to nothing, keeping the benchmarked hot path clean — while the traced
-//! entry point gives each rank its own `RunStats` and merges the per-rank
-//! [`RunTrace`]s deterministically after `run_threaded` joins
+//! The loop is generic over [`Recorder`]. The wall-clock entry points
+//! instantiate the zero-sized [`NoopRecorder`] — every call inlines to
+//! nothing, keeping the benchmarked hot path clean. The traced threaded
+//! entry point gives each rank its own [`RunStats`] and merges the
+//! per-rank [`RunTrace`]s deterministically after the join
 //! ([`merge_rank_traces`]): rank-local volumes sum, per-step maxima
-//! combine by max (max is commutative, so per-rank-then-merge equals the
-//! simulator's per-step global max), and globally allreduced quantities
+//! combine by max (max is commutative, so per-rank-then-merge equals one
+//! worker's fold over every rank), and globally allreduced quantities
 //! (mode, estimates, settled counts) are asserted identical across ranks.
+//! The simulator records through a `CostRecorder`, which also folds the
+//! α–β–γ ledger out of the same events.
 
-use sssp_comm::stats::StepStats;
+use sssp_comm::cost::{MachineModel, TimeClass};
+use sssp_comm::fingerprint::{
+    FP_ALLGATHER, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM, FP_WINDOW,
+};
+use sssp_comm::stats::{CommStats, StepStats};
 
-use crate::instrument::{BucketRecord, PhaseRecord, RunStats, RunTrace};
+use crate::instrument::{BucketRecord, PhaseKind, PhaseRecord, RunStats, RunTrace};
 
-/// Sink for one backend run's telemetry events. All methods default to
-/// no-ops so a disabled recorder costs nothing; `enabled` lets callers
-/// skip work that exists only to be recorded (e.g. the heuristic volume
-/// pass under a forced direction policy).
+/// A labelled collective row of the protocol table, reported once per
+/// occurrence: the setup row's two reduces and the decide row's five
+/// count as one occurrence each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Row {
+    /// `setup.weight-extremes`.
+    Setup,
+    /// `epoch.select`.
+    Select,
+    /// `epoch.target-cutoff`.
+    TargetCutoff,
+    /// `epoch.deadline`.
+    Deadline,
+    /// `epoch.window-rho` / `epoch.window-radius`.
+    Window,
+    /// `short.active-any` / `bf-tail.active-any`.
+    ActiveAny,
+    /// `decide.estimates`.
+    Decide,
+    /// `epoch.settle`.
+    Settle,
+}
+
+/// Sink for one run's telemetry events. All methods default to no-ops so
+/// a disabled recorder costs nothing; `enabled` lets callers skip work
+/// that exists only to be recorded (e.g. the heuristic volume pass under a
+/// forced direction policy).
 pub trait Recorder {
     /// Whether this recorder stores anything at all. Must be uniform
     /// across ranks of one run (it steers collective-bearing code paths).
     fn enabled(&self) -> bool {
         false
     }
-    /// One data-exchange superstep completed with the given traffic.
-    fn superstep(&mut self, _step: &StepStats) {}
+    /// A new bucket epoch begins (setup runs as epoch 0).
+    fn epoch(&mut self, _epoch: u64) {}
+    /// One occurrence of a labelled collective row completed.
+    fn collective(&mut self, _row: Row) {}
+    /// A bookkeeping scan examined at most `_max_scanned` vertices on any
+    /// rank of the worker.
+    fn scan(&mut self, _class: TimeClass, _max_scanned: u64) {}
+    /// One data-exchange superstep completed with the given traffic; its
+    /// busiest thread on any rank of the worker did `_max_thread_ops`.
+    fn superstep(&mut self, _step: &StepStats, _max_thread_ops: u64) {}
     /// One relaxation phase (a short round, a long push, a whole pull
-    /// phase, or a Bellman-Ford round) completed.
-    fn phase(&mut self, _rec: &PhaseRecord) {}
+    /// phase, or a Bellman-Ford round) completed; `_outer_short` of its
+    /// relaxations were IOS outer-short edges.
+    fn phase(&mut self, _rec: &PhaseRecord, _outer_short: u64) {}
     /// Wall-clock nanoseconds one phase of `kind` took on this rank,
     /// including the rendezvous wait inside its exchanges. Only the
-    /// threaded backend reports these; the simulated engine never calls
-    /// this hook, so its traces keep all-zero timings.
-    fn phase_nanos(&mut self, _kind: crate::instrument::PhaseKind, _ns: u64) {}
+    /// threaded traces keep these; simulated traces keep all-zero timings.
+    fn phase_nanos(&mut self, _kind: PhaseKind, _ns: u64) {}
     /// One Δ-bucket epoch completed. The recorder fills the record's
     /// per-epoch traffic fields from the supersteps since the last bucket.
     fn bucket(&mut self, _rec: BucketRecord) {}
@@ -59,16 +94,30 @@ impl Recorder for RunStats {
         true
     }
 
-    fn superstep(&mut self, step: &StepStats) {
+    fn epoch(&mut self, epoch: u64) {
+        self.comm.set_epoch(epoch);
+    }
+
+    fn superstep(&mut self, step: &StepStats, _max_thread_ops: u64) {
         self.comm.record(*step);
     }
 
-    fn phase(&mut self, rec: &PhaseRecord) {
+    fn phase(&mut self, rec: &PhaseRecord, outer_short: u64) {
         self.phases += 1;
         self.phase_records.push(*rec);
+        match rec.kind {
+            PhaseKind::Short => self.short_relaxations += rec.relaxations,
+            PhaseKind::LongPush => {
+                self.outer_short_relaxations += outer_short;
+                self.long_push_relaxations += rec.relaxations - outer_short;
+            }
+            // Requests and responses arrive with the bucket record.
+            PhaseKind::LongPull => self.outer_short_relaxations += outer_short,
+            PhaseKind::BellmanFord => self.bf_relaxations += rec.relaxations,
+        }
     }
 
-    fn phase_nanos(&mut self, kind: crate::instrument::PhaseKind, ns: u64) {
+    fn phase_nanos(&mut self, kind: PhaseKind, ns: u64) {
         self.wall.add(kind, ns);
     }
 
@@ -78,6 +127,9 @@ impl Recorder for RunStats {
         rec.local_msgs = local;
         rec.remote_msgs = remote;
         rec.coalesced_msgs = coalesced;
+        self.pull_requests += rec.requests;
+        self.pull_responses += rec.responses;
+        self.epochs += 1;
         self.bucket_records.push(rec);
     }
 
@@ -111,6 +163,99 @@ impl Recorder for RunStats {
                 coalesced_msgs: coalesced,
             });
         }
+    }
+}
+
+/// The simulator's recorder: the run's [`RunStats`] plus the α–β–γ
+/// ledger, a pure fold over the events the epoch loop records. Per
+/// superstep it charges the busiest thread's ops and the bottleneck
+/// rank's bytes; per scan the busiest rank's scan; per collective row one
+/// tree collective. The cost model treats the setup row as free (the
+/// weight extremes are a property of the resident graph, not of a query)
+/// and the decide row's five reduces as one allgather of a five-word
+/// vector charged to relaxation time. Its schedule view (collective count
+/// and fingerprint) follows the same accounting, with the activity checks
+/// and the deadline as max-reduces, and is folded into `stats.comm` at
+/// [`Recorder::finish`]. Wall-clock phase timings are not kept.
+pub(super) struct CostRecorder<'m> {
+    pub(super) stats: RunStats,
+    model: &'m MachineModel,
+    p: usize,
+    coll: CommStats,
+}
+
+impl<'m> CostRecorder<'m> {
+    pub(super) fn new(stats: RunStats, model: &'m MachineModel) -> Self {
+        let p = stats.num_ranks;
+        CostRecorder {
+            stats,
+            model,
+            p,
+            coll: CommStats::new(),
+        }
+    }
+}
+
+impl Recorder for CostRecorder<'_> {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn epoch(&mut self, epoch: u64) {
+        self.stats.epoch(epoch);
+        self.coll.set_epoch(epoch);
+    }
+
+    fn collective(&mut self, row: Row) {
+        let (kind, class) = match row {
+            Row::Setup => return,
+            Row::Select | Row::TargetCutoff => (FP_REDUCE_MIN, TimeClass::Bucket),
+            Row::Deadline | Row::ActiveAny => (FP_REDUCE_MAX, TimeClass::Bucket),
+            Row::Window => (FP_WINDOW, TimeClass::Bucket),
+            Row::Decide => (FP_ALLGATHER, TimeClass::Relax),
+            Row::Settle => (FP_REDUCE_SUM, TimeClass::Bucket),
+        };
+        self.coll.collectives += 1;
+        self.coll.fp_mix(kind);
+        self.stats
+            .ledger
+            .charge_collective(self.model, class, self.p);
+    }
+
+    fn scan(&mut self, class: TimeClass, max_scanned: u64) {
+        self.stats
+            .ledger
+            .charge_scan(self.model, class, max_scanned);
+    }
+
+    fn superstep(&mut self, step: &StepStats, max_thread_ops: u64) {
+        self.stats.superstep(step, max_thread_ops);
+        let bytes = step.max_rank_send_bytes.max(step.max_rank_recv_bytes);
+        self.stats
+            .ledger
+            .charge_superstep(self.model, TimeClass::Relax, max_thread_ops, bytes);
+    }
+
+    fn phase(&mut self, rec: &PhaseRecord, outer_short: u64) {
+        self.stats.phase(rec, outer_short);
+    }
+
+    fn bucket(&mut self, rec: BucketRecord) {
+        self.stats.bucket(rec);
+    }
+
+    fn settled(&mut self, settled: u64) {
+        self.stats.settled(settled);
+    }
+
+    fn hybrid_switch(&mut self, bucket: u64) {
+        self.stats.hybrid_switch(bucket);
+    }
+
+    fn finish(&mut self) {
+        self.stats.finish();
+        self.stats.comm.collectives = self.coll.collectives;
+        self.stats.comm.fingerprint ^= self.coll.fingerprint;
     }
 }
 
@@ -202,7 +347,6 @@ fn merge_bucket(m: &mut BucketRecord, r: &BucketRecord) {
 mod tests {
     use super::*;
     use crate::config::LongPhaseMode;
-    use crate::instrument::PhaseKind;
 
     fn bucket(remote: u64) -> BucketRecord {
         BucketRecord {
@@ -284,18 +428,24 @@ mod tests {
     fn run_stats_recorder_builds_records() {
         let mut s = RunStats::default();
         assert!(Recorder::enabled(&s));
-        s.superstep(&StepStats {
-            local_msgs: 2,
-            remote_msgs: 3,
-            coalesced_msgs: 1,
-            ..Default::default()
-        });
-        s.phase(&PhaseRecord {
-            bucket: 0,
-            kind: PhaseKind::Short,
-            relaxations: 5,
-            remote_msgs: 3,
-        });
+        s.superstep(
+            &StepStats {
+                local_msgs: 2,
+                remote_msgs: 3,
+                coalesced_msgs: 1,
+                ..Default::default()
+            },
+            0,
+        );
+        s.phase(
+            &PhaseRecord {
+                bucket: 0,
+                kind: PhaseKind::Short,
+                relaxations: 5,
+                remote_msgs: 3,
+            },
+            0,
+        );
         s.bucket(bucket(0));
         s.settled(9);
         // The epoch fields came from the recorded superstep, not the
@@ -308,10 +458,13 @@ mod tests {
         assert_eq!(rec.settled, 9);
         assert_eq!(s.phases, 1);
         // A hybrid tail flushes the remaining steps at finish().
-        s.superstep(&StepStats {
-            remote_msgs: 7,
-            ..Default::default()
-        });
+        s.superstep(
+            &StepStats {
+                remote_msgs: 7,
+                ..Default::default()
+            },
+            0,
+        );
         s.hybrid_switch(0);
         s.finish();
         let tail = s.tail_record.expect("tail record");

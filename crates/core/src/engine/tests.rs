@@ -227,7 +227,12 @@ fn multi_source_is_min_over_single_sources() {
     let g = medium_graph();
     let dg = DistGraph::build(&g, 4, 2);
     let sources = [0u32, 50, 200];
-    let multi = run_sssp_multi(&dg, &sources, &SsspConfig::opt(25), &model());
+    let multi = run(
+        &dg,
+        &Query::from_sources(&sources),
+        &SsspConfig::opt(25),
+        &model(),
+    );
     let singles: Vec<_> = sources
         .iter()
         .map(|&s| run_sssp(&dg, s, &SsspConfig::opt(25), &model()).distances)

@@ -1,9 +1,18 @@
 //! The paper's contribution: distributed Δ-stepping with edge
 //! classification, the IOS refinement, push/pull direction-optimized
-//! pruning, Bellman-Ford hybridization and two-tier load balancing —
-//! running on the simulated distributed runtime of `sssp-comm`.
+//! pruning, Bellman-Ford hybridization and two-tier load balancing.
 //!
-//! Entry point: [`engine::run_sssp`] with a [`config::SsspConfig`] preset:
+//! The engine is one SPMD epoch loop (`engine/epoch.rs`) that a worker runs
+//! over the block of ranks it owns, generic over a
+//! [`sssp_comm::transport::Transport`]. A query ([`engine::Query`]: seeds,
+//! optional point-to-point target, optional deadline) runs through one
+//! `run` per backend: [`engine::run`] on the simulator (one worker owns
+//! every rank; the α–β–γ cost model is folded out of what the loop
+//! records) and [`engine::threaded::run`] on real OS threads (one worker
+//! per rank), with bit-identical distances. [`run_sssp`] and
+//! [`threaded_delta_stepping`] are the single-root shorthands.
+//!
+//! Every query takes an [`config::SsspConfig`] preset:
 //!
 //! | Preset | Paper name | Ingredients |
 //! |---|---|---|
@@ -17,10 +26,6 @@
 //! Inter-node vertex splitting (the second load-balancing tier) is a graph
 //! transformation: apply [`sssp_dist::split_heavy_vertices`] before building
 //! the [`sssp_dist::DistGraph`].
-//!
-//! The same algorithm also runs on real OS threads (one per rank, channels
-//! and barriers instead of the simulated runtime) via
-//! [`threaded_delta_stepping`], with bit-identical distances.
 //!
 //! [`SsspConfig::dijkstra`]: config::SsspConfig::dijkstra
 //! [`SsspConfig::bellman_ford`]: config::SsspConfig::bellman_ford
@@ -65,9 +70,9 @@ pub use config::{
     DeltaParam, DirectionPolicy, IntraBalance, LongPhaseMode, SsspConfig, SteppingPolicyKind,
 };
 pub use engine::threaded::{
-    threaded_delta_stepping, threaded_delta_stepping_traced, threaded_sssp_query,
-    threaded_sssp_query_deadline, threaded_sssp_seeded, EngineScratch, ThreadedSsspOutput,
+    threaded_delta_stepping, threaded_delta_stepping_traced, threaded_sssp_query, EngineScratch,
+    ThreadedSsspOutput,
 };
-pub use engine::{canonical_seeds, run_sssp, run_sssp_p2p, run_sssp_seeded_deadline, SsspOutput};
+pub use engine::{canonical_seeds, run_sssp, run_sssp_seeded, Query, SsspOutput};
 pub use instrument::{RunStats, RunTrace};
 pub use policy::{EpochWindow, PolicyDispatch, SteppingPolicy, WindowRule};

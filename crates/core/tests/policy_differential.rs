@@ -12,9 +12,10 @@ use proptest::prelude::*;
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
 use sssp_core::engine::{run_sssp, run_sssp_seeded};
+use sssp_core::engine::{threaded, Query};
 use sssp_core::seq;
 use sssp_core::state::INF;
-use sssp_core::{threaded_delta_stepping, threaded_sssp_seeded};
+use sssp_core::{threaded_delta_stepping, EngineScratch};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder, EdgeList};
 
@@ -91,13 +92,13 @@ proptest! {
         let model = MachineModel::bgq_like();
         for cfg in policy_matrix() {
             let simulated = run_sssp_seeded(&dg, &seed_list, &cfg, &model);
-            let threaded = threaded_sssp_seeded(&dg, &seed_list, &cfg, &model);
+            let threaded = threaded::run(&dg, &Query::from_seeds(&seed_list), &cfg, &model, &mut EngineScratch::default());
             prop_assert_eq!(
                 &threaded.distances, &simulated.distances,
                 "p = {}, cfg = {:?}", p, &cfg
             );
             let sim_dup = run_sssp_seeded(&dg, &with_dup, &cfg, &model);
-            let thr_dup = threaded_sssp_seeded(&dg, &with_dup, &cfg, &model);
+            let thr_dup = threaded::run(&dg, &Query::from_seeds(&with_dup), &cfg, &model, &mut EngineScratch::default());
             prop_assert_eq!(&sim_dup.distances, &simulated.distances);
             prop_assert_eq!(&thr_dup.distances, &simulated.distances);
         }
@@ -115,7 +116,13 @@ fn empty_seed_list_yields_all_inf_on_both_backends() {
             simulated.distances.iter().all(|&d| d == INF),
             "simulated, cfg = {cfg:?}"
         );
-        let threaded = threaded_sssp_seeded(&dg, &[], &cfg, &model);
+        let threaded = threaded::run(
+            &dg,
+            &Query::from_seeds(&[]),
+            &cfg,
+            &model,
+            &mut EngineScratch::default(),
+        );
         assert_eq!(threaded.distances, simulated.distances, "cfg = {cfg:?}");
     }
 }
@@ -183,7 +190,13 @@ fn delta_one_with_maximal_weights_terminates_past_the_epoch_sentinel() {
                 simulated.distances, expect,
                 "simulated, p = {p}, cfg = {cfg:?}"
             );
-            let threaded = threaded_sssp_seeded(&dg, seeds, &cfg, &model);
+            let threaded = threaded::run(
+                &dg,
+                &Query::from_seeds(seeds),
+                &cfg,
+                &model,
+                &mut EngineScratch::default(),
+            );
             assert_eq!(
                 threaded.distances, expect,
                 "threaded, p = {p}, cfg = {cfg:?}"

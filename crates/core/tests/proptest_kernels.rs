@@ -10,7 +10,7 @@ use sssp_core::bfs::{run_bfs, seq_bfs};
 use sssp_core::cc::run_cc;
 use sssp_core::config::SsspConfig;
 use sssp_core::crauser::run_crauser;
-use sssp_core::engine::{run_sssp, run_sssp_multi};
+use sssp_core::engine::{run, run_sssp, Query};
 use sssp_core::pagerank::{run_pagerank, seq_pagerank, PageRankConfig};
 use sssp_core::threaded_kernels::{threaded_bellman_ford, threaded_cc};
 use sssp_core::{seq, validate};
@@ -99,7 +99,7 @@ proptest! {
         sources.dedup();
         let dg = DistGraph::build(&g, p, 2);
         let cfg = SsspConfig::opt(20);
-        let multi = run_sssp_multi(&dg, &sources, &cfg, &model());
+        let multi = run(&dg, &Query::from_sources(&sources), &cfg, &model());
         for (v, &got) in multi.distances.iter().enumerate() {
             let expect = sources
                 .iter()

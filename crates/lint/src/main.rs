@@ -4,8 +4,8 @@
 //! cargo run -p sssp-lint -- --check            # lint the workspace
 //! cargo run -p sssp-lint -- --check --root DIR # lint another tree
 //! cargo run -p sssp-lint -- --list-rules       # show the rule set
-//! cargo run -p sssp-lint -- --protocol         # extract + diff the
-//!                                              # collective schedules
+//! cargo run -p sssp-lint -- --protocol         # extract the epoch loop's
+//!                                              # collective schedule
 //! cargo run -p sssp-lint -- --concurrency      # lock-order + channel
 //!                                              # topology models
 //! cargo run -p sssp-lint -- --concurrency-locks     # lock table only
@@ -55,9 +55,8 @@ fn main() -> ExitCode {
                      Lints every .rs file in the workspace against the \
                      project rules.\nMark deliberate exceptions with \
                      `// sssp-lint: allow(rule-name): reason`.\n\
-                     --protocol extracts both engine backends' collective \
-                     schedules,\ndiffs them, and prints the normalized \
-                     protocol table.\n\
+                     --protocol extracts the epoch loop's collective \
+                     schedule\nand prints the normalized protocol table.\n\
                      --concurrency builds the lock-order graph and channel \
                      topology\nfrom the comm and threaded-engine sources and \
                      prints both tables;\nthe -locks/-channels variants print \
@@ -107,10 +106,7 @@ fn main() -> ExitCode {
             print!("{table}");
         }
         if analysis.findings.is_empty() {
-            eprintln!(
-                "sssp-lint: protocol clean ({} backends)",
-                analysis.schedules.len()
-            );
+            eprintln!("sssp-lint: protocol clean");
             return ExitCode::SUCCESS;
         }
         for f in &analysis.findings {

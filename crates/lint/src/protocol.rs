@@ -2,23 +2,20 @@
 //!
 //! The lexical rules in [`crate::rules`] look at single lines; this module
 //! parses function bodies in `crates/core/src/engine/` into a lightweight
-//! control-flow model and extracts each backend's *collective schedule* —
-//! the ordered sequence of allreduce/exchange/barrier call sites, with
-//! their loop-nesting depth along the call path from a marked entry point.
-//! The two backends (the simulated BSP engine and the real-thread engine)
-//! must issue the same sequence, or a run deadlocks / silently skews; the
-//! checker diffs the normalized schedules and renders the agreed protocol
-//! as a golden table (`crates/lint/golden/protocol_table.txt`).
+//! control-flow model and extracts the SPMD epoch loop's *collective
+//! schedule* — the ordered sequence of allreduce/exchange/barrier call
+//! sites, with their loop-nesting depth along the call path from the
+//! marked entry point. Every worker of a run (one per rank on the threaded
+//! backend, one owning every rank in the simulator) executes this one
+//! loop, so the schedule is the SPMD protocol itself; the checker renders
+//! it as a golden table (`crates/lint/golden/protocol_table.txt`) and
+//! flags collectives that lack a label or sit under a rank-local guard.
 //!
 //! Source markers drive the model:
 //!
 //! ```text
-//! // sssp-lint: protocol-entry(<backend>)      (directly above an entry fn)
-//! // sssp-lint: protocol: <label>              (labels following collectives)
-//! // sssp-lint: protocol-implicit: <label> <op>  (synthetic event: a
-//!                                               collective the backend gets
-//!                                               for free, e.g. the simulated
-//!                                               engine's shared-memory scan)
+//! // sssp-lint: protocol-entry(<name>)   (directly above the loop's entry fn)
+//! // sssp-lint: protocol: <label>        (labels following collectives)
 //! ```
 //!
 //! Labels propagate down call chains (the innermost marker wins), so a
@@ -80,26 +77,13 @@ impl fmt::Display for Op {
     }
 }
 
-/// Parse an op keyword as written in `protocol-implicit` markers.
-pub fn op_from_str(s: &str) -> Option<Op> {
-    match s {
-        "reduce" => Some(Op::Reduce),
-        "exchange" => Some(Op::Exchange),
-        // sssp-lint: allow(no-shared-state): op-kind variant, not a primitive
-        "barrier" => Some(Op::Barrier),
-        _ => None,
-    }
-}
-
 /// A `sssp-lint: protocol…` marker parsed from one raw source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Marker {
-    /// `protocol-entry(<backend>)`: the next `fn` is that backend's entry.
+    /// `protocol-entry(<name>)`: the next `fn` is the loop's entry.
     Entry(String),
     /// `protocol: <label>`: collectives from here on carry this label.
     Label(String),
-    /// `protocol-implicit: <label> <op>`: emit a synthetic event here.
-    Implicit(String, Op),
 }
 
 /// Extract the protocol marker on a raw line, if any.
@@ -109,12 +93,6 @@ pub fn parse_marker(raw: &str) -> Option<Marker> {
     if let Some(args) = rest.strip_prefix("-entry(") {
         let close = args.find(')')?;
         return Some(Marker::Entry(args[..close].trim().to_string()));
-    }
-    if let Some(args) = rest.strip_prefix("-implicit:") {
-        let mut it = args.split_whitespace();
-        let label = it.next()?.to_string();
-        let op = op_from_str(it.next()?)?;
-        return Some(Marker::Implicit(label, op));
     }
     if let Some(args) = rest.strip_prefix(':') {
         let label = args.split_whitespace().next()?.to_string();
@@ -159,17 +137,17 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One backend's full collective schedule, in program order.
+/// One entry point's full collective schedule, in program order.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Backend name from the `protocol-entry(<backend>)` marker.
-    pub backend: String,
+    /// Name from the `protocol-entry(<name>)` marker.
+    pub entry: String,
     /// Events in the order the walk reached them.
     pub events: Vec<Event>,
 }
 
 /// One normalized protocol-table row: consecutive events with the same
-/// `(depth, op, label)` merge into a row with a per-backend count.
+/// `(depth, op, label)` merge into a row with a call-site count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     /// Loop-nesting depth.
@@ -197,64 +175,26 @@ pub fn normalize(events: &[Event]) -> Vec<(TableRow, usize)> {
     out
 }
 
-fn describe(row: Option<&(TableRow, usize)>) -> String {
-    match row {
-        Some((r, n)) => format!("(depth {}, {}, {}) x{}", r.depth, r.op, r.label, n),
-        None => "nothing (schedule ended)".to_string(),
-    }
-}
-
-/// Zip two normalized schedules into the shared protocol table. The
-/// `(depth, op, label)` sequence must match exactly; the per-row call-site
-/// counts may differ (e.g. the threaded backend reduces weight extremes
-/// with two allreduces where the simulated engine scans shared memory).
-/// `Err` describes the first divergence.
-pub fn merge(
-    sim: &[(TableRow, usize)],
-    thr: &[(TableRow, usize)],
-) -> Result<Vec<(TableRow, usize, usize)>, String> {
-    for i in 0..sim.len().max(thr.len()) {
-        let (a, b) = (sim.get(i), thr.get(i));
-        if let (Some(ra), Some(rb)) = (a, b) {
-            if ra.0 == rb.0 {
-                continue;
-            }
-        }
-        return Err(format!(
-            "collective schedules diverge at row {}: simulated issues {}, threaded issues {}",
-            i + 1,
-            describe(a),
-            describe(b)
-        ));
-    }
-    Ok(sim
-        .iter()
-        .zip(thr.iter())
-        .map(|(a, b)| (a.0.clone(), a.1, b.1))
-        .collect())
-}
-
-/// Render the merged protocol table (the golden artifact committed at
+/// Render the protocol table (the golden artifact committed at
 /// `crates/lint/golden/protocol_table.txt`).
-pub fn render_table(rows: &[(TableRow, usize, usize)]) -> String {
+pub fn render_table(rows: &[(TableRow, usize)]) -> String {
     let mut s = String::new();
-    s.push_str("# Collective protocol table: the normalized SPMD schedule both engine\n");
-    s.push_str("# backends must follow. Regenerate with:\n");
+    s.push_str("# Collective protocol table: the normalized schedule of the SPMD epoch\n");
+    s.push_str("# loop every worker runs. Regenerate with:\n");
     s.push_str("#   cargo run -p sssp-lint -- --protocol\n");
     s.push_str("# Rows merge consecutive call sites with the same (depth, op, label);\n");
-    s.push_str("# per-backend counts may differ, the row sequence may not (DESIGN.md).\n");
+    s.push_str("# `calls` counts the merged call sites (DESIGN.md).\n");
     s.push_str(&format!(
-        "{:<6} {:<9} {:<26} {:>9} {:>9}\n",
-        "depth", "op", "label", "simulated", "threaded"
+        "{:<6} {:<9} {:<26} {:>5}\n",
+        "depth", "op", "label", "calls"
     ));
-    for (row, a, b) in rows {
+    for (row, n) in rows {
         let line = format!(
-            "{:<6} {:<9} {:<26} {:>9} {:>9}",
+            "{:<6} {:<9} {:<26} {:>5}",
             row.depth,
             row.op.to_string(),
             row.label,
-            a,
-            b
+            n
         );
         s.push_str(line.trim_end());
         s.push('\n');
@@ -267,7 +207,7 @@ pub fn render_table(rows: &[(TableRow, usize, usize)]) -> String {
 /// merged rows minus the *other* policies' window collectives (labels
 /// `epoch.window-*` are policy-specific; every other row is shared), so
 /// pinning each filtered section pins each policy's schedule distinctly.
-fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize, usize)]) {
+fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize)]) {
     type LabelFilter = fn(&str) -> bool;
     let sections: &[(&str, LabelFilter)] = &[
         ("delta", |l| !l.starts_with("epoch.window-")),
@@ -280,7 +220,7 @@ fn render_policy_sections(s: &mut String, rows: &[(TableRow, usize, usize)]) {
     s.push_str("# all other rows are shared by every policy).\n");
     for (name, keep) in sections {
         s.push_str(&format!("## policy: {name}\n"));
-        for (row, _, _) in rows.iter().filter(|(r, _, _)| keep(&r.label)) {
+        for (row, _) in rows.iter().filter(|(r, _)| keep(&r.label)) {
             let line = format!("{:<6} {:<9} {}", row.depth, row.op.to_string(), row.label);
             s.push_str(line.trim_end());
             s.push('\n');
@@ -420,7 +360,7 @@ pub(crate) struct FnDef {
     pub(crate) impl_type: Option<String>,
     /// True when the signature mentions `self` (method).
     pub(crate) has_self: bool,
-    /// Backend name from a `protocol-entry` marker directly above.
+    /// Entry name from a `protocol-entry` marker directly above.
     pub(crate) entry: Option<String>,
     /// True when the definition sits in a test region.
     pub(crate) in_test: bool,
@@ -670,13 +610,13 @@ impl Model {
         first
     }
 
-    /// Walk every marked entry point and collect each backend's schedule.
-    /// Also reports findings for collectives reached without a label.
+    /// Walk every marked entry point and collect its schedule. Also
+    /// reports findings for collectives reached without a label.
     pub fn schedules(&self) -> (Vec<Schedule>, Vec<Finding>) {
-        let mut by_backend: Vec<(String, Vec<Event>)> = Vec::new();
+        let mut by_entry: Vec<(String, Vec<Event>)> = Vec::new();
         for (fi, f) in self.files.iter().enumerate() {
             for (ni, fd) in f.fns.iter().enumerate() {
-                let Some(backend) = &fd.entry else { continue };
+                let Some(entry) = &fd.entry else { continue };
                 if fd.in_test {
                     continue;
                 }
@@ -686,23 +626,23 @@ impl Model {
                     stack: Vec::new(),
                 };
                 w.walk(fi, ni, None, 0);
-                match by_backend.iter_mut().find(|(b, _)| b == backend) {
+                match by_entry.iter_mut().find(|(e, _)| e == entry) {
                     Some((_, ev)) => ev.extend(w.events),
-                    None => by_backend.push((backend.clone(), w.events)),
+                    None => by_entry.push((entry.clone(), w.events)),
                 }
             }
         }
         let mut findings: Vec<Finding> = Vec::new();
-        for (backend, events) in &by_backend {
+        for (entry, events) in &by_entry {
             for e in events {
                 if e.label.is_none() {
                     findings.push(Finding {
                         file: e.file.clone(),
                         line: e.line,
                         message: format!(
-                            "{} reached from the `{backend}` entry without a \
+                            "{} reached from the `{entry}` entry without a \
                              `sssp-lint: protocol:` label — label the call site \
-                             so the schedule diff can align it",
+                             so the protocol table can name it",
                             e.op
                         ),
                     });
@@ -711,9 +651,9 @@ impl Model {
         }
         findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         findings.dedup();
-        let schedules = by_backend
+        let schedules = by_entry
             .into_iter()
-            .map(|(backend, events)| Schedule { backend, events })
+            .map(|(entry, events)| Schedule { entry, events })
             .collect();
         (schedules, findings)
     }
@@ -753,16 +693,8 @@ impl Walk<'_> {
             if line.in_test {
                 continue;
             }
-            match parse_marker(&line.raw) {
-                Some(Marker::Label(l)) => label = Some(l),
-                Some(Marker::Implicit(l, op)) => self.events.push(Event {
-                    file: f.path.clone(),
-                    line: li + 1,
-                    label: Some(l),
-                    op,
-                    depth: base + loops.len(),
-                }),
-                _ => {}
+            if let Some(Marker::Label(l)) = parse_marker(&line.raw) {
+                label = Some(l);
             }
             let code: String = if li == fd.open.0 {
                 line.code.chars().skip(fd.open.1).collect()
@@ -818,12 +750,12 @@ impl Walk<'_> {
 /// Result of the whole-tree protocol pass.
 #[derive(Debug)]
 pub struct Analysis {
-    /// The rendered protocol table when both backends' schedules align.
+    /// The rendered protocol table (`None` when no entry point is marked).
     pub table: Option<String>,
-    /// Everything the pass flagged (unlabeled sites, divergence, missing
-    /// entries). Empty on a healthy tree.
+    /// Everything the pass flagged (unlabeled sites, a second entry
+    /// point). Empty on a healthy tree.
     pub findings: Vec<Finding>,
-    /// The raw per-backend schedules, for tests and tooling.
+    /// The raw per-entry schedules, for tests and tooling.
     pub schedules: Vec<Schedule>,
 }
 
@@ -832,33 +764,21 @@ pub struct Analysis {
 pub fn analyze(files: &[(String, String)]) -> Analysis {
     let model = Model::build(files);
     let (schedules, mut findings) = model.schedules();
-    let sim = schedules.iter().find(|s| s.backend == "simulated");
-    let thr = schedules.iter().find(|s| s.backend == "threaded");
-    let mut table = None;
-    match (sim, thr) {
-        (Some(s), Some(t)) => match merge(&normalize(&s.events), &normalize(&t.events)) {
-            Ok(rows) => table = Some(render_table(&rows)),
-            Err(msg) => findings.push(Finding {
-                file: "crates/core/src/engine/".to_string(),
-                line: 0,
-                message: msg,
-            }),
-        },
-        _ => {
-            for backend in ["simulated", "threaded"] {
-                if !schedules.iter().any(|s| s.backend == backend) {
-                    findings.push(Finding {
-                        file: "crates/core/src/engine/".to_string(),
-                        line: 0,
-                        message: format!(
-                            "no `sssp-lint: protocol-entry({backend})` marker found — \
-                             the {backend} backend's schedule cannot be extracted"
-                        ),
-                    });
-                }
-            }
-        }
+    if schedules.len() > 1 {
+        let names: Vec<&str> = schedules.iter().map(|s| s.entry.as_str()).collect();
+        findings.push(Finding {
+            file: "crates/core/src/engine/".to_string(),
+            line: 0,
+            message: format!(
+                "{} protocol entries ({}): the SPMD epoch loop must exist exactly once",
+                names.len(),
+                names.join(", ")
+            ),
+        });
     }
+    let table = schedules
+        .first()
+        .map(|s| render_table(&normalize(&s.events)));
     Analysis {
         table,
         findings,
@@ -888,12 +808,9 @@ const SANITIZERS: &[&str] = &[
     "allgather",
     "any",
     "any_active",
-    "next_bucket",
     "enabled",
     "cfg",
     "decide",
-    "decide_threaded",
-    "heuristic_decide",
     "hybrid_should_switch",
     "num_ranks",
 ];
@@ -1164,60 +1081,6 @@ pub(crate) fn check_missing_barrier(sf: &SourceFile) -> Vec<(usize, String)> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// rule: protocol-backend-skew
-
-/// `protocol-backend-skew`: a file defining protocol entries for more than
-/// one backend must produce the same normalized schedule from each. (The
-/// cross-file simulated/threaded diff runs in `--protocol` mode and CI;
-/// this rule catches the single-file case in fixtures and future twins.)
-pub(crate) fn check_backend_skew(sf: &SourceFile) -> Vec<(usize, String)> {
-    let fns = scan_fns(sf);
-    let mut backends: Vec<&String> = Vec::new();
-    for fd in &fns {
-        if let Some(b) = &fd.entry {
-            if !fd.in_test && !backends.contains(&b) {
-                backends.push(b);
-            }
-        }
-    }
-    if backends.len() < 2 {
-        return Vec::new();
-    }
-    let path = if traversable(&sf.rel_path) {
-        sf.rel_path.clone()
-    } else {
-        "crates/core/src/engine/backend_skew_probe.rs".to_string()
-    };
-    let text: String = sf
-        .lines
-        .iter()
-        .map(|l| l.raw.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let model = Model::build(&[(path, text)]);
-    let (schedules, _) = model.schedules();
-    let first = backends[0].clone();
-    let second = backends[1].clone();
-    let a = schedules.iter().find(|s| s.backend == first);
-    let b = schedules.iter().find(|s| s.backend == second);
-    let (Some(a), Some(b)) = (a, b) else {
-        return Vec::new();
-    };
-    if let Err(msg) = merge(&normalize(&a.events), &normalize(&b.events)) {
-        let line = fns
-            .iter()
-            .find(|f| f.entry.as_ref() == Some(&second))
-            .map(|f| f.open.0)
-            .unwrap_or(0);
-        return vec![(
-            line,
-            format!("backend `{second}` skews from `{first}`: {msg}"),
-        )];
-    }
-    Vec::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1225,19 +1088,16 @@ mod tests {
     #[test]
     fn markers_parse() {
         assert_eq!(
-            parse_marker("    // sssp-lint: protocol-entry(threaded)"),
-            Some(Marker::Entry("threaded".to_string()))
+            parse_marker("    // sssp-lint: protocol-entry(spmd)"),
+            Some(Marker::Entry("spmd".to_string()))
         );
         assert_eq!(
             parse_marker("// sssp-lint: protocol: epoch.settle"),
             Some(Marker::Label("epoch.settle".to_string()))
         );
         assert_eq!(
-            parse_marker("// sssp-lint: protocol-implicit: setup.weight-extremes reduce"),
-            Some(Marker::Implicit(
-                "setup.weight-extremes".to_string(),
-                Op::Reduce
-            ))
+            parse_marker("// sssp-lint: protocol-implicit: setup reduce"),
+            None
         );
         assert_eq!(parse_marker("// sssp-lint: allow(no-panic-hot-path)"), None);
         assert_eq!(parse_marker("let x = 1;"), None);
@@ -1276,8 +1136,8 @@ mod tests {
     #[test]
     fn scan_fns_tracks_impls_entries_and_self() {
         let src = "\
-impl<'a> Engine<'a> {
-    // sssp-lint: protocol-entry(simulated)
+impl<'a> Worker<'a> {
+    // sssp-lint: protocol-entry(spmd)
     fn run(&mut self) {
         self.go();
     }
@@ -1294,66 +1154,68 @@ trait Rec {
         let fns = scan_fns(&sf);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["run", "go", "free"]);
-        assert_eq!(fns[0].impl_type.as_deref(), Some("Engine"));
-        assert_eq!(fns[0].entry.as_deref(), Some("simulated"));
+        assert_eq!(fns[0].impl_type.as_deref(), Some("Worker"));
+        assert_eq!(fns[0].entry.as_deref(), Some("spmd"));
         assert!(fns[0].has_self);
         assert!(!fns[2].has_self);
         assert_eq!(fns[0].open.0, 2);
         assert_eq!(fns[0].end_line, 4);
     }
 
-    fn two_backend_src() -> (String, String) {
+    fn loop_src() -> (String, String) {
         let src = "\
-// sssp-lint: protocol-entry(simulated)
-fn run_sim(&mut self) {
+// sssp-lint: protocol-entry(spmd)
+fn run(&mut self) {
     loop {
         // sssp-lint: protocol: epoch.select
-        let k = allreduce_min(&self.coll, &mut self.comm);
+        let k = self.ctx.allreduce_min(v);
         // sssp-lint: protocol: epoch.body
         self.body();
     }
 }
 fn body(&mut self) {
-    let step = bufs.exchange(BYTES, packet);
-}
-// sssp-lint: protocol-entry(threaded)
-fn run_thr(ctx: &mut RankCtx) {
-    loop {
-        // sssp-lint: protocol: epoch.select
-        let k = ctx.allreduce_min(v);
-        // sssp-lint: protocol: epoch.body
-        let step = ctx.exchange_pooled_counted(out, inbox, BYTES, packet);
-    }
+    self.ctx.exchange(block, post, BYTES, packet);
 }
 ";
         ("crates/core/src/engine/x.rs".to_string(), src.to_string())
     }
 
     #[test]
-    fn walker_labels_depths_and_diffs_align() {
-        let a = analyze(&[two_backend_src()]);
+    fn walker_labels_depths_and_renders_the_table() {
+        let a = analyze(&[loop_src()]);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         let table = a.table.expect("table");
         assert!(table.contains("epoch.select"));
         assert!(table.contains("epoch.body"));
-        let sim = &a.schedules[0];
-        assert_eq!(sim.backend, "simulated");
-        assert_eq!(sim.events.len(), 2);
-        assert_eq!(sim.events[0].depth, 1);
-        assert_eq!(sim.events[1].op, Op::Exchange);
-        assert_eq!(sim.events[1].label.as_deref(), Some("epoch.body"));
+        let sched = &a.schedules[0];
+        assert_eq!(sched.entry, "spmd");
+        assert_eq!(sched.events.len(), 2);
+        assert_eq!(sched.events[0].depth, 1);
+        assert_eq!(sched.events[1].op, Op::Exchange);
+        assert_eq!(sched.events[1].label.as_deref(), Some("epoch.body"));
+    }
+
+    #[test]
+    fn a_second_entry_point_is_flagged() {
+        let (path, src) = loop_src();
+        let twin = src
+            .replace("spmd", "twin")
+            .replace("fn run(", "fn run_twin(");
+        let a = analyze(&[(path, format!("{src}{twin}"))]);
+        assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+        assert!(a.findings[0].message.contains("exactly once"));
     }
 
     #[test]
     fn unlabeled_collectives_are_flagged() {
         let src = "\
-// sssp-lint: protocol-entry(simulated)
+// sssp-lint: protocol-entry(spmd)
 fn run(&mut self) {
-    let k = allreduce_min(&self.coll, &mut self.comm);
+    let k = self.ctx.allreduce_min(v);
 }
 ";
         let a = analyze(&[("crates/core/src/engine/x.rs".to_string(), src.to_string())]);
-        assert_eq!(a.findings.len(), 2, "{:?}", a.findings);
+        assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
         assert!(a.findings[0].message.contains("without a"));
     }
 
@@ -1374,26 +1236,6 @@ fn run(&mut self) {
         ]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].1, 2);
-    }
-
-    #[test]
-    fn merge_reports_first_divergence() {
-        let row = |label: &str| {
-            (
-                TableRow {
-                    depth: 1,
-                    op: Op::Reduce,
-                    label: label.to_string(),
-                },
-                1,
-            )
-        };
-        let err = merge(&[row("a"), row("b")], &[row("a")]).unwrap_err();
-        assert!(err.contains("row 2"), "{err}");
-        assert!(err.contains("schedule ended"), "{err}");
-        let ok = merge(&[row("a")], &[(row("a").0, 3)]).unwrap();
-        assert_eq!(ok[0].1, 1);
-        assert_eq!(ok[0].2, 3);
     }
 
     #[test]
@@ -1477,31 +1319,5 @@ fn good(&self) {
         let hits = check_missing_barrier(&sf);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 2);
-    }
-
-    #[test]
-    fn backend_skew_fires_on_single_file_divergence() {
-        let src = "\
-// sssp-lint: protocol-entry(simulated)
-fn run_sim(&mut self) {
-    // sssp-lint: protocol: a
-    let k = allreduce_min(&self.coll, &mut self.comm);
-    // sssp-lint: protocol: b
-    let s = allreduce_sum(&self.coll, &mut self.comm);
-}
-// sssp-lint: protocol-entry(threaded)
-fn run_thr(ctx: &mut RankCtx) {
-    // sssp-lint: protocol: a
-    let k = ctx.allreduce_min(v);
-}
-";
-        let sf = SourceFile::parse("crates/core/src/engine/x.rs", src);
-        let hits = check_backend_skew(&sf);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 8);
-        assert!(hits[0].1.contains("diverge"), "{}", hits[0].1);
-        let (p, aligned) = two_backend_src();
-        let sf = SourceFile::parse(&p, &aligned);
-        assert!(check_backend_skew(&sf).is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! * [`SsspServer`] owns the graph and a pool of `max_inflight` worker
 //!   threads, each holding one [`sssp_core::EngineScratch`]. Submitted
 //!   queries queue FIFO; a worker claims one, runs it through the
-//!   threaded backend via [`sssp_core::threaded_sssp_query`] — no
+//!   threaded backend via [`sssp_core::engine::threaded::run`] — no
 //!   re-partitioning, no pool re-allocation — and publishes the
 //!   [`QueryResult`].
 //! * A landmark / repeat-root distance cache keyed by the canonicalized
@@ -25,7 +25,7 @@
 //!
 //! Results are bit-identical to fresh one-shot runs — the differential
 //! proptests in `tests/` pin scheduler output against
-//! [`sssp_core::threaded_sssp_seeded`] under all three stepping policies.
+//! [`sssp_core::engine::threaded::run`] under all three stepping policies.
 //!
 //! # Crash isolation
 //!

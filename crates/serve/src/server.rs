@@ -31,8 +31,9 @@ use sssp_comm::cost::MachineModel;
 use sssp_core::bfs::run_bfs;
 use sssp_core::cc::run_cc;
 use sssp_core::closeness::harmonic_closeness_sampled;
+use sssp_core::engine::{threaded, Query};
 use sssp_core::pagerank::run_pagerank;
-use sssp_core::{canonical_seeds, threaded_sssp_query_deadline, EngineScratch, SsspConfig};
+use sssp_core::{canonical_seeds, EngineScratch, SsspConfig};
 use sssp_dist::DistGraph;
 
 use crate::cache::{DistanceCache, SeedKey};
@@ -516,28 +517,28 @@ fn run_spec(
     }
     match spec {
         QuerySpec::SingleSource { .. } | QuerySpec::MultiSeed { .. } => {
-            let seeds = spec.seeds().unwrap_or_default();
-            let out =
-                threaded_sssp_query_deadline(graph, &seeds, None, deadline, cfg, model, scratch);
+            let query = Query {
+                seeds: spec.seeds().unwrap_or_default(),
+                target: None,
+                deadline,
+            };
+            let out = threaded::run(graph, &query, cfg, model, scratch);
             if out.timed_out {
                 // A timed-out field is partially tentative: never served,
                 // never cached.
                 return Err(QueryError::TimedOut);
             }
             let dist = Arc::new(out.distances);
-            let insert = Some((canonical_seeds(&seeds, n), Arc::clone(&dist)));
+            let insert = Some((canonical_seeds(&query.seeds, n), Arc::clone(&dist)));
             Ok((QueryOutput::Distances(dist), out.epochs, insert))
         }
         QuerySpec::PointToPoint { root, target } => {
-            let out = threaded_sssp_query_deadline(
-                graph,
-                &[(*root, 0)],
-                Some(*target),
+            let query = Query {
+                target: Some(*target),
                 deadline,
-                cfg,
-                model,
-                scratch,
-            );
+                ..Query::from_root(*root)
+            };
+            let out = threaded::run(graph, &query, cfg, model, scratch);
             if out.timed_out {
                 return Err(QueryError::TimedOut);
             }

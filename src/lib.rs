@@ -48,7 +48,7 @@ pub mod prelude {
     pub use sssp_comm::cost::MachineModel;
     pub use sssp_core::config::{DeltaParam, DirectionPolicy, SsspConfig};
     pub use sssp_core::engine::threaded::{threaded_delta_stepping, ThreadedSsspOutput};
-    pub use sssp_core::engine::{run_sssp, run_sssp_multi, run_sssp_seeded, SsspOutput};
+    pub use sssp_core::engine::{run, run_sssp, run_sssp_seeded, Query, SsspOutput};
     pub use sssp_core::instrument::RunStats;
     pub use sssp_core::seq;
     pub use sssp_dist::DistGraph;
