@@ -5,7 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sssp_bench::{build_family, Family};
-use sssp_comm::exchange::{exchange, Outbox};
+use sssp_comm::exchange::{fold_counts, Mailbox};
+use sssp_comm::transport::{SimWorld, Transport};
 use sssp_core::config::DeltaParam;
 use sssp_core::seq;
 use sssp_core::state::RankState;
@@ -78,15 +79,17 @@ fn bench_relax(c: &mut Criterion) {
 fn bench_exchange(c: &mut Criterion) {
     let mut g = c.benchmark_group("exchange");
     g.bench_function("exchange_16ranks_64k_msgs", |b| {
+        let p = 16;
+        let mut world = SimWorld::new(p);
+        let mut mail: Vec<Mailbox<(u32, u64)>> = (0..p).map(|_| Mailbox::new(p)).collect();
         b.iter(|| {
-            let p = 16;
-            let mut obs: Vec<Outbox<(u32, u64)>> = (0..p).map(|_| Outbox::new(p)).collect();
-            for (src, ob) in obs.iter_mut().enumerate() {
+            for (src, mb) in mail.iter_mut().enumerate() {
                 for i in 0..4096u32 {
-                    ob.send((src + i as usize) % p, (i, i as u64));
+                    mb.send((src + i as usize) % p, (i, i as u64));
                 }
             }
-            black_box(exchange(obs, 16))
+            world.exchange(&mut mail, Mailbox::post, 16, None);
+            black_box(fold_counts(mail.iter().map(|m| &m.counts)))
         })
     });
     g.finish();

@@ -1,137 +1,70 @@
-//! Bulk-synchronous message exchange between ranks.
+//! The rank side of a bulk-synchronous exchange.
 //!
-//! A superstep produces, for every source rank, one outbox per destination
-//! rank (`outboxes[src][dst]`). [`exchange`] transposes these into one inbox
-//! per destination, concatenating in source-rank order so delivery is
-//! deterministic, and records the traffic in a [`StepStats`].
-//!
-//! Two delivery flavors exist: the consuming [`exchange`] /
-//! [`exchange_with`] (fresh inboxes every call) and [`exchange_pooled`],
-//! which drains caller-owned outboxes into caller-owned inboxes so both
-//! keep their capacity across supersteps. Both produce identical delivery
-//! order and identical [`StepStats`]. The SSSP engine's own exchanges run
-//! through a [`crate::transport::Transport`].
+//! A superstep fills, on every rank, one outbox lane per destination rank.
+//! A [`Transport`](crate::transport::Transport) then delivers the lanes —
+//! each inbox is the concatenation of its lanes in source-rank order — and
+//! reports each rank's [`ExchangeCounts`](crate::transport::ExchangeCounts).
+//! This module holds what the callers of that exchange share: the
+//! [`Mailbox`](crate::exchange::Mailbox) a simulated kernel keeps per rank
+//! across supersteps, [`fold_counts`](crate::exchange::fold_counts), which
+//! turns the per-rank counts into one
+//! [`StepStats`](crate::stats::StepStats) record, and the sender-side lane
+//! packing and pool trimming of the Δ-stepping engine.
 
 use crate::stats::StepStats;
-use crate::transport::wire_bytes;
+use crate::transport::{ExchangeCounts, Post};
 use crate::Rank;
 
-/// Per-source outboxes: `out[dst]` holds the messages this rank sends to
-/// `dst`. Construct with [`Outbox::new`] and fill during the compute step.
+/// One rank's exchange buffers, kept across supersteps so that lanes and
+/// inbox reach a steady state where an exchange allocates nothing.
 #[derive(Debug, Clone)]
-pub struct Outbox<M> {
-    /// One message lane per destination rank.
+pub struct Mailbox<M> {
+    /// `out[dst]` holds the messages for rank `dst`.
     pub out: Vec<Vec<M>>,
+    /// What the last exchange delivered, in source-rank order.
+    pub inbox: Vec<M>,
+    /// This rank's traffic in the last exchange.
+    pub counts: ExchangeCounts,
 }
 
-impl<M> Outbox<M> {
-    /// Empty outbox with one lane per destination rank.
+impl<M> Mailbox<M> {
+    /// Empty mailbox with one lane per destination rank of a `p`-rank world.
     pub fn new(p: usize) -> Self {
-        Outbox {
+        Mailbox {
             out: (0..p).map(|_| Vec::new()).collect(),
+            inbox: Vec::new(),
+            counts: ExchangeCounts::default(),
         }
     }
 
+    /// Queue `msg` for delivery to `dst` at the next exchange.
     #[inline]
-    /// Queue `msg` for delivery to `dst` at the next superstep boundary.
     pub fn send(&mut self, dst: Rank, msg: M) {
         self.out[dst].push(msg);
     }
 
-    /// Number of queued messages across all destinations.
-    pub fn total_msgs(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
-    }
-
-    /// Empty every lane, retaining its capacity for reuse.
-    pub fn clear(&mut self) {
-        for lane in &mut self.out {
-            lane.clear();
+    /// The view a [`Transport`](crate::transport::Transport) exchanges through.
+    pub fn post(&mut self) -> Post<'_, M> {
+        Post {
+            out: &mut self.out,
+            inbox: &mut self.inbox,
+            counts: &mut self.counts,
         }
     }
 }
 
-/// Deliver all outboxes. Returns one inbox per rank (messages from source 0
-/// first, then source 1, …) plus the step's traffic statistics.
-///
-/// `msg_bytes` is the on-wire size charged per message; pass
-/// `std::mem::size_of::<M>()` unless modelling a packed format.
-pub fn exchange<M>(outboxes: Vec<Outbox<M>>, msg_bytes: usize) -> (Vec<Vec<M>>, StepStats) {
-    exchange_with(outboxes, msg_bytes, None)
-}
-
-/// Like [`exchange`], but with packet-level wire accounting: each
-/// per-(src, dst) stream is framed into packets per the given
-/// [`PacketConfig`], and the byte statistics include header overhead.
-pub fn exchange_with<M>(
-    mut outboxes: Vec<Outbox<M>>,
-    msg_bytes: usize,
-    packet: Option<&crate::packet::PacketConfig>,
-) -> (Vec<Vec<M>>, StepStats) {
-    let p = outboxes.len();
-    let mut inboxes: Vec<Vec<M>> = (0..p).map(|_| Vec::new()).collect();
-    let stats = exchange_pooled(&mut outboxes, &mut inboxes, msg_bytes, packet);
-    (inboxes, stats)
-}
-
-/// Pooled variant of [`exchange_with`]: drains the outboxes into the given
-/// inboxes instead of allocating fresh ones. Inboxes are cleared first;
-/// after the call every outbox lane is empty *with its capacity retained*,
-/// so a caller that keeps both sides alive across supersteps reaches a
-/// steady state where the exchange allocates nothing. Delivery order and
-/// the returned [`StepStats`] are identical to [`exchange_with`].
-pub fn exchange_pooled<M>(
-    outboxes: &mut [Outbox<M>],
-    inboxes: &mut [Vec<M>],
-    msg_bytes: usize,
-    packet: Option<&crate::packet::PacketConfig>,
-) -> StepStats {
-    let p = outboxes.len();
-    assert_eq!(inboxes.len(), p, "inbox fan-out mismatch");
-    let mut stats = StepStats::default();
-    let wire = |count: u64| wire_bytes(count, msg_bytes, packet);
-
-    // Per-rank send accounting (before the moves).
-    for (src, ob) in outboxes.iter().enumerate() {
-        assert_eq!(ob.out.len(), p, "outbox of rank {src} has wrong fan-out");
-        let mut sent_bytes = 0u64;
-        for (dst, msgs) in ob.out.iter().enumerate() {
-            let k = msgs.len() as u64;
-            if dst == src {
-                stats.local_msgs += k;
-            } else {
-                stats.remote_msgs += k;
-                let b = wire(k);
-                sent_bytes += b;
-                stats.remote_bytes += b;
-            }
-        }
-        stats.max_rank_send_bytes = stats.max_rank_send_bytes.max(sent_bytes);
+/// Fold per-rank exchange counts, in rank order, into one step record:
+/// message and byte totals plus the largest per-rank send and receive.
+pub fn fold_counts<'a>(counts: impl IntoIterator<Item = &'a ExchangeCounts>) -> StepStats {
+    let mut step = StepStats::default();
+    for c in counts {
+        step.local_msgs += c.sent_local;
+        step.remote_msgs += c.sent_remote;
+        step.remote_bytes += c.sent_remote_bytes;
+        step.max_rank_send_bytes = step.max_rank_send_bytes.max(c.sent_remote_bytes);
+        step.max_rank_recv_bytes = step.max_rank_recv_bytes.max(c.recv_remote_bytes);
     }
-    // Per-rank receive accounting: a second pass over the lane lengths
-    // instead of a scratch vector keeps the pooled path allocation-free.
-    for dst in 0..p {
-        let mut recv = 0u64;
-        for (src, ob) in outboxes.iter().enumerate() {
-            if src != dst {
-                recv += wire(ob.out[dst].len() as u64);
-            }
-        }
-        stats.max_rank_recv_bytes = stats.max_rank_recv_bytes.max(recv);
-    }
-
-    // Transpose: inbox[dst] = concat over src of outboxes[src].out[dst].
-    // `append` moves the messages and leaves each lane empty with its
-    // capacity intact — the core of the recycling scheme.
-    for ib in inboxes.iter_mut() {
-        ib.clear();
-    }
-    for ob in outboxes.iter_mut() {
-        for (dst, lane) in ob.out.iter_mut().enumerate() {
-            inboxes[dst].append(lane);
-        }
-    }
-    stats
+    step
 }
 
 /// Sender-side sorted-run packing of one outbox lane: sort the lane by
@@ -169,24 +102,6 @@ where
     (before - lane.len()) as u64
 }
 
-/// Sender-side coalescing of one outbox lane: keep, for every distinct
-/// `key(m)`, only the message with the smallest `val(m)`. Equivalent to
-/// [`pack_sorted_run`] with `dedup` enabled — the lane is left sorted by
-/// `(key, val)` as one run.
-///
-/// Returns the number of messages removed.
-pub fn coalesce_lane_min<M, K, V>(
-    lane: &mut Vec<M>,
-    key: impl Fn(&M) -> K,
-    val: impl Fn(&M) -> V,
-) -> u64
-where
-    K: Ord,
-    V: Ord,
-{
-    pack_sorted_run(lane, key, val, true)
-}
-
 /// The pool-growth bound: shrink `buf` back to `high_water` capacity when
 /// its current capacity exceeds 4× that high-water mark. A single giant
 /// superstep thereby cannot pin its peak allocation for the rest of the
@@ -205,31 +120,56 @@ pub fn shrink_oversized<M>(buf: &mut Vec<M>, high_water: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{SimWorld, Transport};
+
+    /// Deliver every mailbox of a `mail.len()`-rank world and fold the step.
+    fn deliver<M>(mail: &mut [Mailbox<M>], msg_bytes: usize) -> StepStats {
+        let mut world = SimWorld::new(mail.len());
+        world.exchange(mail, Mailbox::post, msg_bytes, None);
+        fold_counts(mail.iter().map(|m| &m.counts))
+    }
+
+    fn mailboxes<M>(p: usize) -> Vec<Mailbox<M>> {
+        (0..p).map(|_| Mailbox::new(p)).collect()
+    }
+
+    /// Keep, for every distinct `key(m)`, only the message with the
+    /// smallest `val(m)`, leaving the lane sorted by key: the reference
+    /// [`pack_sorted_run`] with `dedup` must match.
+    fn coalesce_lane_min<M, K: Ord, V: Ord>(
+        lane: &mut Vec<M>,
+        key: impl Fn(&M) -> K,
+        val: impl Fn(&M) -> V,
+    ) -> u64 {
+        let before = lane.len();
+        lane.sort_by(|a, b| key(a).cmp(&key(b)).then_with(|| val(a).cmp(&val(b))));
+        lane.dedup_by(|a, b| key(a) == key(b));
+        (before - lane.len()) as u64
+    }
 
     #[test]
     fn delivery_is_transposed_and_ordered() {
         let p = 3;
-        let mut obs: Vec<Outbox<(usize, usize)>> = (0..p).map(|_| Outbox::new(p)).collect();
-        for (src, ob) in obs.iter_mut().enumerate() {
+        let mut mail = mailboxes(p);
+        for (src, mb) in mail.iter_mut().enumerate() {
             for dst in 0..p {
-                ob.send(dst, (src, dst));
+                mb.send(dst, (src, dst));
             }
         }
-        let (inboxes, _) = exchange(obs, 16);
-        for (dst, inbox) in inboxes.iter().enumerate() {
+        deliver(&mut mail, 16);
+        for (dst, mb) in mail.iter().enumerate() {
             let expect: Vec<_> = (0..p).map(|src| (src, dst)).collect();
-            assert_eq!(inbox, &expect);
+            assert_eq!(mb.inbox, expect);
         }
     }
 
     #[test]
     fn stats_split_local_and_remote() {
-        let p = 2;
-        let mut obs: Vec<Outbox<u64>> = (0..p).map(|_| Outbox::new(p)).collect();
-        obs[0].send(0, 1); // local
-        obs[0].send(1, 2); // remote
-        obs[1].send(0, 3); // remote
-        let (_, stats) = exchange(obs, 8);
+        let mut mail = mailboxes(2);
+        mail[0].send(0, 1u64); // local
+        mail[0].send(1, 2); // remote
+        mail[1].send(0, 3); // remote
+        let stats = deliver(&mut mail, 8);
         assert_eq!(stats.local_msgs, 1);
         assert_eq!(stats.remote_msgs, 2);
         assert_eq!(stats.remote_bytes, 16);
@@ -239,13 +179,12 @@ mod tests {
 
     #[test]
     fn max_rank_send_detects_imbalance() {
-        let p = 3;
-        let mut obs: Vec<Outbox<u8>> = (0..p).map(|_| Outbox::new(p)).collect();
+        let mut mail = mailboxes(3);
         for _ in 0..10 {
-            obs[0].send(1, 0);
+            mail[0].send(1, 0u8);
         }
-        obs[2].send(1, 0);
-        let (_, stats) = exchange(obs, 4);
+        mail[2].send(1, 0);
+        let stats = deliver(&mut mail, 4);
         assert_eq!(stats.remote_msgs, 11);
         assert_eq!(stats.max_rank_send_bytes, 40);
         assert_eq!(stats.max_rank_recv_bytes, 44);
@@ -253,9 +192,9 @@ mod tests {
 
     #[test]
     fn empty_exchange() {
-        let obs: Vec<Outbox<u32>> = (0..4).map(|_| Outbox::new(4)).collect();
-        let (inboxes, stats) = exchange(obs, 4);
-        assert!(inboxes.iter().all(Vec::is_empty));
+        let mut mail = mailboxes::<u32>(4);
+        let stats = deliver(&mut mail, 4);
+        assert!(mail.iter().all(|m| m.inbox.is_empty()));
         assert_eq!(stats, StepStats::default());
     }
 
@@ -270,9 +209,9 @@ mod tests {
     #[test]
     fn coalesce_short_lanes_are_untouched() {
         let mut empty: Vec<(u32, u64)> = Vec::new();
-        assert_eq!(coalesce_lane_min(&mut empty, |m| m.0, |m| m.1), 0);
+        assert_eq!(pack_sorted_run(&mut empty, |m| m.0, |m| m.1, true), 0);
         let mut one = vec![(5u32, 40u64)];
-        assert_eq!(coalesce_lane_min(&mut one, |m| m.0, |m| m.1), 0);
+        assert_eq!(pack_sorted_run(&mut one, |m| m.0, |m| m.1, true), 0);
         assert_eq!(one, vec![(5, 40)]);
     }
 
@@ -313,13 +252,14 @@ mod tests {
 
     #[test]
     fn outbox_clear_keeps_capacity() {
-        let mut ob: Outbox<u8> = Outbox::new(2);
+        let mut mail = mailboxes(2);
         for _ in 0..32 {
-            ob.send(1, 9);
+            mail[0].send(1, 9u8);
         }
-        let cap = ob.out[1].capacity();
-        ob.clear();
-        assert_eq!(ob.total_msgs(), 0);
-        assert_eq!(ob.out[1].capacity(), cap);
+        let cap = mail[0].out[1].capacity();
+        deliver(&mut mail, 1);
+        assert!(mail[0].out[1].is_empty());
+        assert_eq!(mail[0].out[1].capacity(), cap);
+        assert_eq!(mail[1].inbox.len(), 32);
     }
 }

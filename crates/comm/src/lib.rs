@@ -9,11 +9,15 @@
 //!   machine: exchange plus the allreduce family. [`transport::SimWorld`]
 //!   runs every rank in one worker on the calling thread, so every run is
 //!   deterministic; [`threaded::RankCtx`] runs one OS thread per rank.
-//! * **Exchange** ([`exchange`]) — bulk-synchronous message delivery between
-//!   supersteps, with full accounting of message counts, bytes, and
-//!   per-rank maxima (the load-imbalance signal the paper's heuristics use).
-//! * **Collectives** ([`collective`]) — allreduce/allgather equivalents with
-//!   the `α·log₂P` latency charge of a tree implementation.
+//!   Both deliver each inbox in source-rank order.
+//! * **Exchange** ([`exchange`]) — what a rank keeps across supersteps
+//!   ([`exchange::Mailbox`]), the fold of per-rank transport counts into one
+//!   step record (message counts, bytes, and per-rank maxima — the
+//!   load-imbalance signal the paper's heuristics use), and sender-side
+//!   lane packing.
+//! * **Collectives** ([`collective`]) — reductions over per-rank values for
+//!   the simulated kernels, each counted and folded into the schedule
+//!   fingerprint.
 //! * **Cost model** ([`cost`]) — an α–β–γ machine model that converts the
 //!   recorded counts into simulated time and TEPS, standing in for the
 //!   Blue Gene/Q wall clock. Defaults are calibrated so that a scale-35 run
@@ -29,11 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Allreduce/allgather equivalents with tree-latency accounting.
+/// Counted reductions over per-rank values.
 pub mod collective;
 /// The α–β–γ machine model converting traffic into simulated time.
 pub mod cost;
-/// Bulk-synchronous message exchange between simulated ranks.
+/// Per-rank mailboxes, the per-rank count fold and lane packing.
 pub mod exchange;
 /// Rolling collective-schedule fingerprints shared by both backends.
 pub mod fingerprint;
@@ -51,34 +55,3 @@ pub mod transport;
 
 /// Index of a logical processor (the paper's "node"/"rank").
 pub type Rank = usize;
-
-/// Run one superstep: execute `f(rank)` for every rank in parallel and
-/// collect the per-rank results in rank order.
-///
-/// The closure must only touch rank-private state (enforced by the `Sync`
-/// bound: shared state must be immutable or internally synchronized).
-pub fn run_ranks<R, F>(p: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Rank) -> R + Sync + Send,
-{
-    use rayon::prelude::*;
-    (0..p).into_par_iter().map(f).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_ranks_preserves_order() {
-        let out = run_ranks(8, |r| r * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn run_ranks_zero_ranks() {
-        let out: Vec<usize> = run_ranks(0, |r| r);
-        assert!(out.is_empty());
-    }
-}

@@ -167,8 +167,8 @@ impl<M: Send> RankCtx<M> {
     /// [`RankCtx::exchange_pooled`] plus per-rank transport accounting:
     /// returns how many messages this rank kept local vs. put on the wire,
     /// and the framed byte volume it sent and received, under the same
-    /// `msg_bytes`/`packet` wire model the simulated
-    /// [`crate::exchange::exchange_pooled`] charges.
+    /// `msg_bytes`/`packet` wire model the simulator's
+    /// [`crate::transport::SimWorld`] charges.
     pub fn exchange_pooled_counted(
         &mut self,
         out: &mut [Vec<M>],
@@ -336,8 +336,7 @@ impl<M: Send> RankCtx<M> {
         self.allreduce_inner(value, |vals| vals.iter().copied().min().unwrap_or(u64::MAX))
     }
 
-    /// Minimum allreduce of per-rank epoch-window proposals. The threaded
-    /// twin of [`crate::collective::allreduce_min_window`]: a min-reduce
+    /// Minimum allreduce of per-rank epoch-window proposals: a min-reduce
     /// fingerprinted with its own kind, so policies that issue the window
     /// collective hold schedules distinct from those that do not.
     pub fn allreduce_min_window(&self, value: u64) -> u64 {

@@ -199,85 +199,70 @@ fn two_mut<S>(xs: &mut [S], a: usize, b: usize) -> (&mut S, &mut S) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::{exchange_with, Outbox};
+    use crate::exchange::{fold_counts, Mailbox};
     use crate::packet::PacketConfig;
 
-    /// A rank slot as the engine keeps one: outbox lanes, inbox, counts.
-    struct Slot {
-        out: Vec<Vec<(usize, usize)>>,
-        inbox: Vec<(usize, usize)>,
-        counts: ExchangeCounts,
-    }
-
-    fn post(s: &mut Slot) -> Post<'_, (usize, usize)> {
-        Post {
-            out: &mut s.out,
-            inbox: &mut s.inbox,
-            counts: &mut s.counts,
-        }
-    }
-
-    fn slots(p: usize) -> Vec<Slot> {
-        (0..p)
-            .map(|_| Slot {
-                out: vec![Vec::new(); p],
-                inbox: Vec::new(),
-                counts: ExchangeCounts::default(),
-            })
-            .collect()
+    fn mailboxes(p: usize) -> Vec<Mailbox<(usize, usize)>> {
+        (0..p).map(|_| Mailbox::new(p)).collect()
     }
 
     #[test]
     fn transpose_matches_the_global_exchange() {
+        // The global-view exchange, written out as the reference: inbox
+        // `dst` is every lane `out[src][dst]` concatenated in source order,
+        // and each rank's bytes are the wire size of its remote lanes.
         let p = 3;
         let packet = PacketConfig::bgq();
         for pk in [None, Some(&packet)] {
-            let mut obs: Vec<Outbox<(usize, usize)>> = (0..p).map(|_| Outbox::new(p)).collect();
-            let mut block = slots(p);
-            for src in 0..p {
+            let mut mail = mailboxes(p);
+            for (src, mb) in mail.iter_mut().enumerate() {
                 for dst in 0..p {
                     for _ in 0..(src + 2 * dst) {
-                        obs[src].send(dst, (src, dst));
-                        block[src].out[dst].push((src, dst));
+                        mb.send(dst, (src, dst));
                     }
                 }
             }
-            let (inboxes, step) = exchange_with(obs, 16, pk);
+            let lanes: Vec<Vec<Vec<(usize, usize)>>> = mail.iter().map(|m| m.out.clone()).collect();
+            let wire = |src: usize, dst: usize| wire_bytes(lanes[src][dst].len() as u64, 16, pk);
             let mut world = SimWorld::new(p);
-            Transport::exchange(&mut world, &mut block, post, 16, pk);
-            let c: Vec<ExchangeCounts> = block.iter().map(|s| s.counts).collect();
-            for (s, inbox) in block.iter().zip(&inboxes) {
-                assert_eq!(&s.inbox, inbox);
-                assert!(s.out.iter().all(Vec::is_empty));
+            world.exchange(&mut mail, Mailbox::post, 16, pk);
+            for (dst, mb) in mail.iter().enumerate() {
+                let expect: Vec<_> = (0..p).flat_map(|src| lanes[src][dst].clone()).collect();
+                assert_eq!(mb.inbox, expect);
+                assert!(mb.out.iter().all(Vec::is_empty));
+                let sent = (0..p)
+                    .filter(|&d| d != dst)
+                    .map(|d| wire(dst, d))
+                    .sum::<u64>();
+                let recv = (0..p)
+                    .filter(|&s| s != dst)
+                    .map(|s| wire(s, dst))
+                    .sum::<u64>();
+                assert_eq!(mb.counts.sent_local, lanes[dst][dst].len() as u64);
+                assert_eq!(mb.counts.sent_remote_bytes, sent);
+                assert_eq!(mb.counts.recv_remote_bytes, recv);
             }
-            assert_eq!(c.iter().map(|c| c.sent_local).sum::<u64>(), step.local_msgs);
-            assert_eq!(
-                c.iter().map(|c| c.sent_remote).sum::<u64>(),
-                step.remote_msgs
-            );
-            let sent = c.iter().map(|c| c.sent_remote_bytes);
-            assert_eq!(sent.clone().sum::<u64>(), step.remote_bytes);
-            assert_eq!(sent.max(), Some(step.max_rank_send_bytes));
-            let recv = c.iter().map(|c| c.recv_remote_bytes).max();
-            assert_eq!(recv, Some(step.max_rank_recv_bytes));
+            let step = fold_counts(mail.iter().map(|m| &m.counts));
+            let total: usize = lanes.iter().flatten().map(Vec::len).sum();
+            assert_eq!(step.local_msgs + step.remote_msgs, total as u64);
         }
     }
 
     #[test]
     fn exchange_clears_stale_inboxes_and_keeps_capacity() {
         let mut world = SimWorld::new(2);
-        let mut block = slots(2);
+        let mut mail = mailboxes(2);
         for i in 0..50 {
-            block[0].out[1].push((0, i));
+            mail[0].send(1, (0, i));
         }
-        Transport::exchange(&mut world, &mut block, post, 8, None);
-        assert_eq!(block[1].inbox.len(), 50);
-        assert!(block[0].out[1].capacity() >= 50);
+        world.exchange(&mut mail, Mailbox::post, 8, None);
+        assert_eq!(mail[1].inbox.len(), 50);
+        assert!(mail[0].out[1].capacity() >= 50);
         // A quiet superstep: the old messages must not survive.
-        Transport::exchange(&mut world, &mut block, post, 8, None);
-        assert!(block[1].inbox.is_empty());
-        assert_eq!(block[1].counts, ExchangeCounts::default());
-        assert!(block[1].inbox.capacity() >= 50);
+        world.exchange(&mut mail, Mailbox::post, 8, None);
+        assert!(mail[1].inbox.is_empty());
+        assert_eq!(mail[1].counts, ExchangeCounts::default());
+        assert!(mail[1].inbox.capacity() >= 50);
     }
 
     #[test]

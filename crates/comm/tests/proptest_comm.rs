@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 
-use sssp_comm::collective::{allreduce_any, allreduce_max, allreduce_min, allreduce_sum};
-use sssp_comm::exchange::{exchange, exchange_with, Outbox};
+use sssp_comm::collective::{allreduce_any, allreduce_min, allreduce_sum};
+use sssp_comm::exchange::{fold_counts, Mailbox};
 use sssp_comm::packet::PacketConfig;
-use sssp_comm::stats::CommStats;
+use sssp_comm::stats::{CommStats, StepStats};
+use sssp_comm::transport::{SimWorld, Transport};
 
 /// Arbitrary traffic pattern: a list of (src, dst, payload) sends over p ranks.
 fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
@@ -15,23 +16,56 @@ fn arb_traffic() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
     })
 }
 
+/// Queue `sends` (as `msg(src, dst, payload)`) in one mailbox per rank,
+/// deliver them through a simulated world and fold the step record.
+fn deliver<M>(
+    p: usize,
+    sends: &[(usize, usize, u32)],
+    msg: impl Fn(usize, usize, u32) -> M,
+    msg_bytes: usize,
+    packet: Option<&PacketConfig>,
+) -> (Vec<Vec<M>>, StepStats) {
+    let mut mail: Vec<Mailbox<M>> = (0..p).map(|_| Mailbox::new(p)).collect();
+    for &(s, d, x) in sends {
+        mail[s].send(d, msg(s, d, x));
+    }
+    SimWorld::new(p).exchange(&mut mail, Mailbox::post, msg_bytes, packet);
+    let step = fold_counts(mail.iter().map(|m| &m.counts));
+    (mail.into_iter().map(|m| m.inbox).collect(), step)
+}
+
+/// The reference transpose: inbox `dst` holds, source by source, every
+/// message sent to `dst` in the order it was sent.
+fn reference<M: Clone>(
+    p: usize,
+    sends: &[(usize, usize, u32)],
+    msg: impl Fn(usize, usize, u32) -> M,
+) -> Vec<Vec<M>> {
+    (0..p)
+        .map(|dst| {
+            (0..p)
+                .flat_map(|src| {
+                    sends
+                        .iter()
+                        .filter(move |&&(s, d, _)| s == src && d == dst)
+                        .map(|&(s, d, x)| msg(s, d, x))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn exchange_conserves_every_message((p, sends) in arb_traffic()) {
-        let mut obs: Vec<Outbox<(usize, usize, u32)>> = (0..p).map(|_| Outbox::new(p)).collect();
-        for &(s, d, x) in &sends {
-            obs[s].send(d, (s, d, x));
-        }
-        let (inboxes, stats) = exchange(obs, 12);
+        let msg = |s, d, x| (s, d, x);
+        let (inboxes, stats) = deliver(p, &sends, msg, 12, None);
 
-        // Every message arrives exactly once, at its destination.
-        let mut received: Vec<(usize, usize, u32)> = Vec::new();
-        for (dst, inbox) in inboxes.iter().enumerate() {
-            for &(s, d, x) in inbox {
-                prop_assert_eq!(d, dst, "message delivered to wrong rank");
-                received.push((s, d, x));
-            }
-        }
+        // Every message arrives exactly once, at its destination, in the
+        // reference order.
+        prop_assert_eq!(&inboxes, &reference(p, &sends, msg));
+        let mut received: Vec<(usize, usize, u32)> = inboxes.concat();
         let mut sent_sorted = sends.clone();
         sent_sorted.sort_unstable();
         received.sort_unstable();
@@ -46,34 +80,24 @@ proptest! {
 
     #[test]
     fn inbox_order_is_source_major((p, sends) in arb_traffic()) {
-        let mut obs: Vec<Outbox<usize>> = (0..p).map(|_| Outbox::new(p)).collect();
-        for &(s, d, _) in &sends {
-            obs[s].send(d, s);
-        }
-        let (inboxes, _) = exchange(obs, 8);
+        let (inboxes, _) = deliver(p, &sends, |s, _, _| s, 8, None);
         for inbox in &inboxes {
             // Sources appear in non-decreasing order within each inbox.
             prop_assert!(inbox.windows(2).all(|w| w[0] <= w[1]));
         }
+        prop_assert_eq!(inboxes, reference(p, &sends, |s, _, _| s));
     }
 
     #[test]
     fn packet_framing_only_adds_bytes((p, sends) in arb_traffic()) {
-        let build = || {
-            let mut obs: Vec<Outbox<u32>> = (0..p).map(|_| Outbox::new(p)).collect();
-            for &(s, d, x) in &sends {
-                obs[s].send(d, x);
-            }
-            obs
-        };
-        let (_, raw) = exchange(build(), 16);
-        let (inboxes, framed) = exchange_with(build(), 16, Some(&PacketConfig::bgq()));
+        let payload = |_, _, x| x;
+        let (_, raw) = deliver(p, &sends, payload, 16, None);
+        let (inboxes, framed) = deliver(p, &sends, payload, 16, Some(&PacketConfig::bgq()));
         prop_assert_eq!(framed.remote_msgs, raw.remote_msgs);
         prop_assert!(framed.remote_bytes >= raw.remote_bytes);
         prop_assert!(framed.max_rank_send_bytes >= raw.max_rank_send_bytes);
         // Delivery identical regardless of framing.
-        let total: usize = inboxes.iter().map(Vec::len).sum();
-        prop_assert_eq!(total as u64, raw.remote_msgs + raw.local_msgs);
+        prop_assert_eq!(inboxes, reference(p, &sends, payload));
     }
 
     #[test]
@@ -90,9 +114,8 @@ proptest! {
         let mut st = CommStats::new();
         prop_assert_eq!(allreduce_sum(&vals, &mut st), vals.iter().sum::<u64>());
         prop_assert_eq!(allreduce_min(&vals, &mut st), vals.iter().copied().min().unwrap_or(u64::MAX));
-        prop_assert_eq!(allreduce_max(&vals, &mut st), vals.iter().copied().max().unwrap_or(0));
         let flags: Vec<bool> = vals.iter().map(|&v| v % 2 == 0).collect();
         prop_assert_eq!(allreduce_any(&flags, &mut st), flags.contains(&true));
-        prop_assert_eq!(st.collectives, 4);
+        prop_assert_eq!(st.collectives, 3);
     }
 }

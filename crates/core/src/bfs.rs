@@ -15,14 +15,13 @@
 //! accounted with the same [`MachineModel`] as the SSSP engine, so
 //! BFS-vs-SSSP GTEPS ratios are directly comparable.
 
-use rayon::prelude::*;
-
-use sssp_comm::collective::{allreduce_any, allreduce_sum};
 use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
+use sssp_comm::exchange::Mailbox;
 use sssp_comm::stats::CommStats;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
+
+use crate::sim::SimMachine;
 
 /// Unvisited marker in the depth array.
 pub const UNVISITED: u32 = u32::MAX;
@@ -104,8 +103,7 @@ const BETA: u64 = 24;
 pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutput {
     let p = dg.num_ranks();
     let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    let mut m = SimMachine::new(dg, model);
     let mut stats = BfsStats::default();
 
     let mut depth: Vec<Vec<u32>> = (0..p)
@@ -114,7 +112,7 @@ pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutpu
     let mut frontier: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
 
     if n == 0 {
-        return finishup(dg, depth, stats, comm, ledger);
+        return finishup(dg, depth, stats, m);
     }
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
     let ro = dg.part.owner(root);
@@ -122,12 +120,11 @@ pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutpu
     depth[ro][rl as usize] = 0;
     frontier[ro].push(rl);
 
+    let mut mail = m.mailboxes();
     let mut level = 0u32;
     loop {
         let any: Vec<bool> = frontier.iter().map(|f| !f.is_empty()).collect();
-        let cont = allreduce_any(&any, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if !cont {
+        if !m.any(&any) {
             break;
         }
 
@@ -141,34 +138,16 @@ pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutpu
                     .sum()
             })
             .collect();
-        let frontier_edges = allreduce_sum(&fe, &mut comm);
+        let frontier_edges = m.sum(&fe);
         let fs: Vec<u64> = frontier.iter().map(|f| f.len() as u64).collect();
-        let frontier_size = allreduce_sum(&fs, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
+        let frontier_size = m.sum(&fs);
         let bottom_up = frontier_edges > dg.m_directed / ALPHA
             || (level > 0 && frontier_size > n as u64 / BETA);
 
         let (next, examined) = if bottom_up {
-            bottom_up_level(
-                dg,
-                &mut depth,
-                &frontier,
-                level,
-                model,
-                &mut comm,
-                &mut ledger,
-            )
+            bottom_up_level(dg, &mut depth, &frontier, level, &mut m)
         } else {
-            top_down_level(
-                dg,
-                &mut depth,
-                &frontier,
-                level,
-                model,
-                &mut comm,
-                &mut ledger,
-            )
+            top_down_level(dg, &mut depth, &frontier, &mut mail, level, &mut m)
         };
         stats.levels.push(BfsLevelRecord {
             level,
@@ -185,16 +164,10 @@ pub fn run_bfs(dg: &DistGraph, root: VertexId, model: &MachineModel) -> BfsOutpu
         level += 1;
     }
 
-    finishup(dg, depth, stats, comm, ledger)
+    finishup(dg, depth, stats, m)
 }
 
-fn finishup(
-    dg: &DistGraph,
-    depth: Vec<Vec<u32>>,
-    mut stats: BfsStats,
-    comm: CommStats,
-    ledger: TimeLedger,
-) -> BfsOutput {
+fn finishup(dg: &DistGraph, depth: Vec<Vec<u32>>, mut stats: BfsStats, m: SimMachine) -> BfsOutput {
     let mut global = vec![UNVISITED; dg.num_vertices()];
     for (r, d) in depth.iter().enumerate() {
         for (l, &x) in d.iter().enumerate() {
@@ -202,8 +175,8 @@ fn finishup(
         }
     }
     stats.visited = global.iter().filter(|&&d| d != UNVISITED).count() as u64;
-    stats.comm = comm;
-    stats.ledger = ledger;
+    stats.comm = m.comm;
+    stats.ledger = m.ledger;
     BfsOutput {
         depth: global,
         stats,
@@ -217,66 +190,44 @@ struct VisitMsg {
 }
 const VISIT_BYTES: usize = 8;
 
+/// Frontier owners send a visit along every incident edge; the owner of
+/// each target marks it if unvisited. Returns the next frontier and the
+/// edges examined (one visit message each).
 fn top_down_level(
     dg: &DistGraph,
     depth: &mut [Vec<u32>],
     frontier: &[Vec<u32>],
+    mail: &mut [Mailbox<VisitMsg>],
     level: u32,
-    model: &MachineModel,
-    comm: &mut CommStats,
-    ledger: &mut TimeLedger,
+    m: &mut SimMachine,
 ) -> (Vec<Vec<u32>>, u64) {
-    let p = dg.num_ranks();
-    let results: Vec<(Outbox<VisitMsg>, u64)> = (0..p)
-        .into_par_iter()
-        .map(|r| {
-            let lg = &dg.locals[r];
-            let mut ob = Outbox::new(p);
-            let mut examined = 0u64;
-            for &u in &frontier[r] {
-                let (ts, _) = lg.row(u as usize);
-                examined += ts.len() as u64;
-                for &v in ts {
-                    ob.send(
-                        dg.part.owner(v),
-                        VisitMsg {
-                            target: dg.part.to_local(v) as u32,
-                        },
-                    );
-                }
+    for (r, (f, mb)) in frontier.iter().zip(mail.iter_mut()).enumerate() {
+        let lg = &dg.locals[r];
+        for &u in f {
+            for &v in lg.row(u as usize).0 {
+                let target = dg.part.to_local(v) as u32;
+                mb.send(dg.part.owner(v), VisitMsg { target });
             }
-            (ob, examined)
-        })
-        .collect();
-    let (obs, counts): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-    let examined: u64 = counts.iter().sum();
-    let (inboxes, step) = exchange_with(obs, VISIT_BYTES, model.packet.as_ref());
+        }
+    }
+    let step = m.exchange(mail, VISIT_BYTES);
 
-    let next: Vec<Vec<u32>> = depth
-        .par_iter_mut()
-        .zip(inboxes.into_par_iter())
-        .map(|(d, inbox)| {
+    let next = depth
+        .iter_mut()
+        .zip(mail.iter())
+        .map(|(d, mb)| {
             let mut nf = Vec::new();
-            for m in inbox {
-                let t = m.target as usize;
+            for msg in &mb.inbox {
+                let t = msg.target as usize;
                 if d[t] == UNVISITED {
                     d[t] = level + 1;
-                    nf.push(m.target);
+                    nf.push(msg.target);
                 }
             }
             nf
         })
         .collect();
-
-    let threads = dg.threads_per_rank.max(1) as u64;
-    ledger.charge_superstep(
-        model,
-        TimeClass::Relax,
-        examined / (dg.num_ranks() as u64 * threads).max(1) + 1,
-        step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-    );
-    comm.record(step);
-    (next, examined)
+    (next, step.local_msgs + step.remote_msgs)
 }
 
 fn bottom_up_level(
@@ -284,9 +235,7 @@ fn bottom_up_level(
     depth: &mut [Vec<u32>],
     frontier: &[Vec<u32>],
     level: u32,
-    model: &MachineModel,
-    comm: &mut CommStats,
-    ledger: &mut TimeLedger,
+    m: &mut SimMachine,
 ) -> (Vec<Vec<u32>>, u64) {
     let p = dg.num_ranks();
     let n = dg.num_vertices();
@@ -299,49 +248,33 @@ fn bottom_up_level(
             bitmap[dg.part.to_global(r, v as usize) as usize] = true;
         }
     }
-    comm.collectives += 1;
-    ledger.charge_collective(model, TimeClass::Relax, p);
-    ledger.charge_superstep(model, TimeClass::Relax, 0, (n as u64 / 8 + 1) * p as u64);
-
-    let bitmap = &bitmap;
-    let results: Vec<(Vec<u32>, u64)> = depth
-        .par_iter_mut()
-        .enumerate()
-        .map(|(r, d)| {
-            let lg = &dg.locals[r];
-            let mut nf = Vec::new();
-            let mut examined = 0u64;
-            for (v, dv) in d.iter_mut().enumerate() {
-                if *dv != UNVISITED {
-                    continue;
-                }
-                let (ts, _) = lg.row(v);
-                for &u in ts {
-                    examined += 1;
-                    if bitmap[u as usize] {
-                        *dv = level + 1;
-                        nf.push(v as u32);
-                        break; // early exit: one frontier parent suffices
-                    }
-                }
-            }
-            (nf, examined)
-        })
-        .collect();
+    m.comm.collectives += 1;
+    m.collective(TimeClass::Relax);
+    let bitmap_bytes = (n as u64 / 8 + 1) * p as u64;
+    m.ledger
+        .charge_superstep(m.model, TimeClass::Relax, 0, bitmap_bytes);
 
     let mut next = Vec::with_capacity(p);
     let mut examined = 0u64;
-    for (nf, e) in results {
+    for (r, d) in depth.iter_mut().enumerate() {
+        let lg = &dg.locals[r];
+        let mut nf = Vec::new();
+        for (v, dv) in d.iter_mut().enumerate() {
+            if *dv != UNVISITED {
+                continue;
+            }
+            for &u in lg.row(v).0 {
+                examined += 1;
+                if bitmap[u as usize] {
+                    *dv = level + 1;
+                    nf.push(v as u32);
+                    break; // early exit: one frontier parent suffices
+                }
+            }
+        }
         next.push(nf);
-        examined += e;
     }
-    let threads = dg.threads_per_rank.max(1) as u64;
-    ledger.charge_superstep(
-        model,
-        TimeClass::Relax,
-        examined / (p as u64 * threads).max(1) + 1,
-        0,
-    );
+    m.charge(examined, 0);
     (next, examined)
 }
 

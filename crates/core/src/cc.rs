@@ -8,14 +8,12 @@
 //! engine's hybrid tail and serves as a second correctness anchor for the
 //! substrate (validated against the union-find reference in `sssp-graph`).
 
-use rayon::prelude::*;
-
-use sssp_comm::collective::allreduce_any;
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
+
+use crate::sim::SimMachine;
 
 /// Connected-components output.
 #[derive(Debug, Clone)]
@@ -51,8 +49,7 @@ const LABEL_BYTES: usize = 8;
 pub fn run_cc(dg: &DistGraph, model: &MachineModel) -> CcOutput {
     let p = dg.num_ranks();
     let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    let mut m = SimMachine::new(dg, model);
 
     let mut labels: Vec<Vec<VertexId>> = (0..p)
         .map(|r| {
@@ -65,72 +62,42 @@ pub fn run_cc(dg: &DistGraph, model: &MachineModel) -> CcOutput {
     let mut active: Vec<Vec<u32>> = (0..p)
         .map(|r| (0..dg.part.local_count(r) as u32).collect())
         .collect();
+    let mut mail = m.mailboxes();
     let mut rounds = 0u64;
 
     loop {
         let flags: Vec<bool> = active.iter().map(|a| !a.is_empty()).collect();
-        let cont = allreduce_any(&flags, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if !cont {
+        if !m.any(&flags) {
             break;
         }
         rounds += 1;
 
-        let results: Vec<(Outbox<LabelMsg>, u64)> = (0..p)
-            .into_par_iter()
-            .map(|r| {
-                let lg = &dg.locals[r];
-                let lab = &labels[r];
-                let mut ob = Outbox::new(p);
-                let mut sent = 0u64;
-                for &v in &active[r] {
-                    let (ts, _) = lg.row(v as usize);
-                    for &t in ts {
-                        ob.send(
-                            dg.part.owner(t),
-                            LabelMsg {
-                                target: dg.part.to_local(t) as u32,
-                                label: lab[v as usize],
-                            },
-                        );
-                    }
-                    sent += ts.len() as u64;
+        for (r, mb) in mail.iter_mut().enumerate() {
+            let (lg, lab) = (&dg.locals[r], &labels[r]);
+            for &v in &active[r] {
+                let label = lab[v as usize];
+                for &t in lg.row(v as usize).0 {
+                    let target = dg.part.to_local(t) as u32;
+                    mb.send(dg.part.owner(t), LabelMsg { target, label });
                 }
-                (ob, sent)
-            })
-            .collect();
-        let (obs, sent): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-        let sent_total: u64 = sent.iter().sum();
-        let (inboxes, step) = exchange_with(obs, LABEL_BYTES, model.packet.as_ref());
+            }
+        }
+        m.exchange(&mut mail, LABEL_BYTES);
 
-        active = labels
-            .par_iter_mut()
-            .zip(inboxes.into_par_iter())
-            .map(|(lab, inbox)| {
-                let mut changed = Vec::new();
-                let mut seen = vec![false; lab.len()];
-                for m in inbox {
-                    let t = m.target as usize;
-                    if m.label < lab[t] {
-                        lab[t] = m.label;
-                        if !seen[t] {
-                            seen[t] = true;
-                            changed.push(m.target);
-                        }
+        for ((lab, changed), mb) in labels.iter_mut().zip(&mut active).zip(&mail) {
+            changed.clear();
+            let mut seen = vec![false; lab.len()];
+            for msg in &mb.inbox {
+                let t = msg.target as usize;
+                if msg.label < lab[t] {
+                    lab[t] = msg.label;
+                    if !seen[t] {
+                        seen[t] = true;
+                        changed.push(msg.target);
                     }
                 }
-                changed
-            })
-            .collect();
-
-        let threads = dg.threads_per_rank.max(1) as u64;
-        ledger.charge_superstep(
-            model,
-            TimeClass::Relax,
-            sent_total / (p as u64 * threads).max(1) + 1,
-            step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-        );
-        comm.record(step);
+            }
+        }
         assert!(
             rounds <= n as u64 + 1,
             "label propagation failed to converge"
@@ -146,8 +113,8 @@ pub fn run_cc(dg: &DistGraph, model: &MachineModel) -> CcOutput {
     CcOutput {
         labels: global,
         rounds,
-        comm,
-        ledger,
+        comm: m.comm,
+        ledger: m.ledger,
     }
 }
 

@@ -17,15 +17,12 @@
 //! Δ-stepping engine, with the same accounting, so its GTEPS are directly
 //! comparable (it serves as the "work-optimal baseline" ablation).
 
-use rayon::prelude::*;
-
-use sssp_comm::collective::{allreduce_any, allreduce_min};
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
 use sssp_dist::DistGraph;
 use sssp_graph::VertexId;
 
+use crate::sim::SimMachine;
 use crate::state::INF;
 
 /// Run statistics of the Crauser algorithm.
@@ -71,8 +68,7 @@ const RELAX_BYTES: usize = 16;
 pub fn run_crauser(dg: &DistGraph, root: VertexId, model: &MachineModel) -> CrauserOutput {
     let p = dg.num_ranks();
     let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    let mut m = SimMachine::new(dg, model);
     let mut stats = CrauserStats::default();
 
     struct Rank {
@@ -104,115 +100,81 @@ pub fn run_crauser(dg: &DistGraph, root: VertexId, model: &MachineModel) -> Crau
     }
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
     ranks[dg.part.owner(root)].dist[dg.part.to_local(root)] = 0;
+    let mut mail = m.mailboxes();
 
     loop {
         // Global minima over unsettled finite vertices: d_min and the OUT
         // threshold L = min(d(u) + w_min(u)).
-        let local_mins: Vec<(u64, u64, bool)> = ranks
-            .par_iter()
-            .map(|rk| {
-                let mut dmin = u64::MAX;
-                let mut lout = u64::MAX;
-                let mut any = false;
-                for v in 0..rk.dist.len() {
-                    if rk.settled[v] || rk.dist[v] == INF {
-                        continue;
-                    }
-                    any = true;
-                    dmin = dmin.min(rk.dist[v]);
-                    if rk.min_w[v] != u32::MAX {
-                        lout = lout.min(rk.dist[v] + rk.min_w[v] as u64);
-                    }
+        let mut anyv = Vec::with_capacity(p);
+        let mut dmins = Vec::with_capacity(p);
+        let mut louts = Vec::with_capacity(p);
+        for rk in &ranks {
+            let mut dmin = u64::MAX;
+            let mut lout = u64::MAX;
+            let mut any = false;
+            for v in 0..rk.dist.len() {
+                if rk.settled[v] || rk.dist[v] == INF {
+                    continue;
                 }
-                (dmin, lout, any)
-            })
-            .collect();
-        let anyv: Vec<bool> = local_mins.iter().map(|m| m.2).collect();
-        if !allreduce_any(&anyv, &mut comm) {
-            ledger.charge_collective(model, TimeClass::Bucket, p);
+                any = true;
+                dmin = dmin.min(rk.dist[v]);
+                if rk.min_w[v] != u32::MAX {
+                    lout = lout.min(rk.dist[v] + rk.min_w[v] as u64);
+                }
+            }
+            anyv.push(any);
+            dmins.push(dmin);
+            louts.push(lout);
+        }
+        if !m.any(&anyv) {
             break;
         }
-        let dmins: Vec<u64> = local_mins.iter().map(|m| m.0).collect();
-        let louts: Vec<u64> = local_mins.iter().map(|m| m.1).collect();
-        let d_min = allreduce_min(&dmins, &mut comm);
-        let l_out = allreduce_min(&louts, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
+        let d_min = m.min(&dmins);
+        let l_out = m.min(&louts);
 
         // Settle by OUT / IN criteria and relax the settled vertices' edges.
-        let threads = dg.threads_per_rank.max(1) as u64;
-        let results: Vec<(Outbox<RelaxMsg>, u64, u64)> = ranks
-            .par_iter_mut()
-            .enumerate()
-            .map(|(r, rk)| {
-                let lg = &dg.locals[r];
-                let mut ob = Outbox::new(p);
-                let mut sent = 0u64;
-                let mut settled_now = 0u64;
-                for v in 0..rk.dist.len() {
-                    if rk.settled[v] || rk.dist[v] == INF {
-                        continue;
-                    }
-                    let dv = rk.dist[v];
-                    let out_ok = dv <= l_out;
-                    let in_ok =
-                        rk.min_w[v] != u32::MAX && dv.saturating_sub(rk.min_w[v] as u64) <= d_min;
-                    if !(out_ok || in_ok) {
-                        continue;
-                    }
-                    rk.settled[v] = true;
-                    settled_now += 1;
-                    let (ts, ws) = lg.row(v);
-                    for i in 0..ts.len() {
-                        ob.send(
-                            dg.part.owner(ts[i]),
-                            RelaxMsg {
-                                target: dg.part.to_local(ts[i]) as u32,
-                                nd: dv + ws[i] as u64,
-                            },
-                        );
-                    }
-                    sent += ts.len() as u64;
-                }
-                (ob, sent, settled_now)
-            })
-            .collect();
-
-        let mut obs = Vec::with_capacity(p);
-        let mut sent_total = 0u64;
         let mut settled_total = 0u64;
-        for (ob, s, k) in results {
-            obs.push(ob);
-            sent_total += s;
-            settled_total += k;
+        for (r, (rk, mb)) in ranks.iter_mut().zip(&mut mail).enumerate() {
+            let lg = &dg.locals[r];
+            for v in 0..rk.dist.len() {
+                if rk.settled[v] || rk.dist[v] == INF {
+                    continue;
+                }
+                let dv = rk.dist[v];
+                let out_ok = dv <= l_out;
+                let in_ok =
+                    rk.min_w[v] != u32::MAX && dv.saturating_sub(rk.min_w[v] as u64) <= d_min;
+                if !(out_ok || in_ok) {
+                    continue;
+                }
+                rk.settled[v] = true;
+                settled_total += 1;
+                let (ts, ws) = lg.row(v);
+                for (&t, &w) in ts.iter().zip(ws) {
+                    let msg = RelaxMsg {
+                        target: dg.part.to_local(t) as u32,
+                        nd: dv + w as u64,
+                    };
+                    mb.send(dg.part.owner(t), msg);
+                }
+            }
         }
         debug_assert!(
             settled_total > 0,
             "criteria must settle at least the minimum"
         );
-        let (inboxes, step) = exchange_with(obs, RELAX_BYTES, model.packet.as_ref());
-        ranks
-            .par_iter_mut()
-            .zip(inboxes.into_par_iter())
-            .for_each(|(rk, inbox)| {
-                for m in inbox {
-                    let t = m.target as usize;
-                    if !rk.settled[t] && m.nd < rk.dist[t] {
-                        rk.dist[t] = m.nd;
-                    }
+        let step = m.exchange(&mut mail, RELAX_BYTES);
+        for (rk, mb) in ranks.iter_mut().zip(&mail) {
+            for msg in &mb.inbox {
+                let t = msg.target as usize;
+                if !rk.settled[t] && msg.nd < rk.dist[t] {
+                    rk.dist[t] = msg.nd;
                 }
-            });
+            }
+        }
 
-        ledger.charge_superstep(
-            model,
-            TimeClass::Relax,
-            sent_total / (p as u64 * threads).max(1) + 1,
-            step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-        );
-        comm.record(step);
         stats.phases += 1;
-        stats.relaxations += sent_total;
+        stats.relaxations += step.local_msgs + step.remote_msgs;
         stats.settled_per_phase.push(settled_total);
     }
 
@@ -222,8 +184,8 @@ pub fn run_crauser(dg: &DistGraph, root: VertexId, model: &MachineModel) -> Crau
             distances[dg.part.to_global(r, l) as usize] = d;
         }
     }
-    stats.comm = comm;
-    stats.ledger = ledger;
+    stats.comm = m.comm;
+    stats.ledger = m.ledger;
     CrauserOutput { distances, stats }
 }
 

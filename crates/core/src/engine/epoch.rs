@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use sssp_comm::cost::{MachineModel, TimeClass};
-use sssp_comm::exchange::{pack_sorted_run, shrink_oversized};
+use sssp_comm::exchange::{fold_counts, pack_sorted_run, shrink_oversized};
 use sssp_comm::stats::StepStats;
 use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
 use sssp_comm::transport::{ExchangeCounts, Post, Transport};
@@ -591,18 +591,11 @@ impl<T: Transport<Wire>, R: Recorder> Worker<'_, T, R> {
         }
         let packet = self.model.packet.as_ref();
         self.ctx.exchange(self.block, &post, msg_bytes, packet);
-        let mut step = StepStats::default();
         for s in self.block.iter_mut() {
-            let c = s.counts;
-            step.local_msgs += c.sent_local;
-            step.remote_msgs += c.sent_remote;
-            step.remote_bytes += c.sent_remote_bytes;
-            step.max_rank_send_bytes = step.max_rank_send_bytes.max(c.sent_remote_bytes);
-            step.max_rank_recv_bytes = step.max_rank_recv_bytes.max(c.recv_remote_bytes);
             let received = post(s).inbox.len();
             s.traffic.hwm = s.traffic.hwm.max(received);
         }
-        step
+        fold_counts(self.block.iter().map(|s| &s.counts))
     }
 
     /// Pack (and, when enabled, coalesce) every relax lane into one

@@ -59,10 +59,10 @@ pub mod pagerank;
 pub mod policy;
 /// Sequential reference algorithms (Dijkstra, Bellman-Ford).
 pub mod seq;
+/// The simulated machine the BFS, CC, PageRank and Crauser kernels run on.
+mod sim;
 /// Per-rank bucket/distance state ([`state::RankState`]).
 pub mod state;
-/// Shared-memory (actually-threaded) kernels used for differential tests.
-pub mod threaded_kernels;
 /// Result checking against the sequential reference.
 pub mod validate;
 

@@ -7,13 +7,11 @@
 //! (a kernel with completely different traffic: dense, regular, every edge
 //! every iteration) and as a baseline for comparing communication profiles.
 
-use rayon::prelude::*;
-
-use sssp_comm::collective::{allreduce_max_f64, allreduce_sum_f64};
-use sssp_comm::cost::{MachineModel, TimeClass, TimeLedger};
-use sssp_comm::exchange::{exchange_with, Outbox};
+use sssp_comm::cost::{MachineModel, TimeLedger};
 use sssp_comm::stats::CommStats;
 use sssp_dist::DistGraph;
+
+use crate::sim::SimMachine;
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +61,7 @@ const RANK_BYTES: usize = 12;
 pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) -> PageRankOutput {
     let p = dg.num_ranks();
     let n = dg.num_vertices();
-    let mut comm = CommStats::new();
-    let mut ledger = TimeLedger::new();
+    let mut m = SimMachine::new(dg, model);
 
     let mut scores: Vec<Vec<f64>> = (0..p)
         .map(|r| vec![1.0 / n.max(1) as f64; dg.part.local_count(r)])
@@ -74,12 +71,13 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
             scores: Vec::new(),
             iterations: 0,
             converged: true,
-            comm,
-            ledger,
+            comm: m.comm,
+            ledger: m.ledger,
         };
     }
 
     let base = (1.0 - cfg.damping) / n as f64;
+    let mut mail = m.mailboxes();
     let mut iterations = 0;
     let mut converged = false;
 
@@ -88,7 +86,7 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
 
         // Dangling mass (degree-0 vertices) is redistributed uniformly.
         let dangling: Vec<f64> = scores
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(r, sc)| {
                 sc.iter()
@@ -98,50 +96,33 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
                     .sum()
             })
             .collect();
-        let dangling_total = allreduce_sum_f64(&dangling, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
+        let dangling_total = m.sum_f64(&dangling);
 
         // Push contributions along every edge.
-        let results: Vec<(Outbox<RankMsg>, u64)> = (0..p)
-            .into_par_iter()
-            .map(|r| {
-                let lg = &dg.locals[r];
-                let sc = &scores[r];
-                let mut ob = Outbox::new(p);
-                let mut sent = 0u64;
-                for (v, &s) in sc.iter().enumerate() {
-                    let deg = lg.degree(v);
-                    if deg == 0 {
-                        continue;
-                    }
-                    let contrib = s / deg as f64;
-                    let (ts, _) = lg.row(v);
-                    for &t in ts {
-                        ob.send(
-                            dg.part.owner(t),
-                            RankMsg {
-                                target: dg.part.to_local(t) as u32,
-                                contrib,
-                            },
-                        );
-                    }
-                    sent += deg as u64;
+        for (r, (sc, mb)) in scores.iter().zip(&mut mail).enumerate() {
+            let lg = &dg.locals[r];
+            for (v, &s) in sc.iter().enumerate() {
+                let (ts, _) = lg.row(v);
+                if ts.is_empty() {
+                    continue;
                 }
-                (ob, sent)
-            })
-            .collect();
-        let (obs, sent): (Vec<_>, Vec<u64>) = results.into_iter().unzip();
-        let sent_total: u64 = sent.iter().sum();
-        let (inboxes, step) = exchange_with(obs, RANK_BYTES, model.packet.as_ref());
+                let contrib = s / ts.len() as f64;
+                for &t in ts {
+                    let target = dg.part.to_local(t) as u32;
+                    mb.send(dg.part.owner(t), RankMsg { target, contrib });
+                }
+            }
+        }
+        m.exchange(&mut mail, RANK_BYTES);
 
         // Accumulate and measure the residual.
         let deltas: Vec<f64> = scores
-            .par_iter_mut()
-            .zip(inboxes.into_par_iter())
-            .map(|(sc, inbox)| {
+            .iter_mut()
+            .zip(&mail)
+            .map(|(sc, mb)| {
                 let mut incoming = vec![0.0f64; sc.len()];
-                for m in inbox {
-                    incoming[m.target as usize] += m.contrib;
+                for msg in &mb.inbox {
+                    incoming[msg.target as usize] += msg.contrib;
                 }
                 let mut max_delta = 0.0f64;
                 for (v, s) in sc.iter_mut().enumerate() {
@@ -153,19 +134,8 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
             })
             .collect();
 
-        let threads = dg.threads_per_rank.max(1) as u64;
-        ledger.charge_superstep(
-            model,
-            TimeClass::Relax,
-            sent_total / (p as u64 * threads).max(1) + 1,
-            step.max_rank_send_bytes.max(step.max_rank_recv_bytes),
-        );
-        comm.record(step);
-
         // Convergence allreduce.
-        let global_delta = allreduce_max_f64(&deltas, &mut comm);
-        ledger.charge_collective(model, TimeClass::Bucket, p);
-        if global_delta < cfg.tolerance {
+        if m.max_f64(&deltas) < cfg.tolerance {
             converged = true;
             break;
         }
@@ -181,8 +151,8 @@ pub fn run_pagerank(dg: &DistGraph, cfg: &PageRankConfig, model: &MachineModel) 
         scores: global,
         iterations,
         converged,
-        comm,
-        ledger,
+        comm: m.comm,
+        ledger: m.ledger,
     }
 }
 

@@ -1,7 +1,5 @@
 //! Property-based tests of the auxiliary kernels (BFS, Crauser, PageRank,
-//! connected components, multi-source SSSP, threaded variants).
-
-use std::sync::Arc;
+//! connected components, multi-source SSSP).
 
 use proptest::prelude::*;
 
@@ -12,7 +10,6 @@ use sssp_core::config::SsspConfig;
 use sssp_core::crauser::run_crauser;
 use sssp_core::engine::{run, run_sssp, Query};
 use sssp_core::pagerank::{run_pagerank, seq_pagerank, PageRankConfig};
-use sssp_core::threaded_kernels::{threaded_bellman_ford, threaded_cc};
 use sssp_core::{seq, validate};
 use sssp_dist::DistGraph;
 use sssp_graph::{gen, Csr, CsrBuilder};
@@ -125,19 +122,5 @@ proptest! {
                 prop_assert_eq!(*path.last().unwrap(), v);
             }
         }
-    }
-
-    #[test]
-    fn threaded_bf_agrees_with_reference(g in arb_graph(), p in 1usize..5, root_pick in any::<prop::sample::Index>()) {
-        let root = root_pick.index(g.num_vertices()) as u32;
-        let dg = Arc::new(DistGraph::build(&g, p, 1));
-        prop_assert_eq!(threaded_bellman_ford(&dg, root), seq::dijkstra(&g, root));
-    }
-
-    #[test]
-    fn threaded_cc_agrees_with_simulated(g in arb_graph(), p in 1usize..5) {
-        let dg = Arc::new(DistGraph::build(&g, p, 1));
-        let sim = run_cc(&dg, &model());
-        prop_assert_eq!(threaded_cc(&dg), sim.labels);
     }
 }

@@ -284,6 +284,25 @@ fn main() {
         csr.max_degree()
     );
 
+    // Deterministic root selection over non-isolated vertices.
+    let candidates = csr.vertices().filter(|&v| csr.degree(v) > 0).count();
+    if candidates < args.roots {
+        eprintln!(
+            "error: --roots {} needs that many non-isolated vertices, but the graph has {candidates}",
+            args.roots
+        );
+        std::process::exit(2);
+    }
+    let mut roots = Vec::new();
+    let mut cursor = args.seed;
+    while roots.len() < args.roots {
+        cursor = sssp_mps::graph::prng::splitmix64(cursor);
+        let v = (cursor % csr.num_vertices() as u64) as u32;
+        if csr.degree(v) > 0 && !roots.contains(&v) {
+            roots.push(v);
+        }
+    }
+
     let dg = if args.split {
         let (dg, rep) = DistGraph::build_auto_split(&csr, args.ranks, args.threads);
         match rep {
@@ -305,17 +324,6 @@ fn main() {
     } else {
         DistGraph::build(&csr, args.ranks, args.threads)
     };
-
-    // Deterministic root selection over non-isolated vertices.
-    let mut roots = Vec::new();
-    let mut cursor = args.seed;
-    while roots.len() < args.roots {
-        cursor = sssp_mps::graph::prng::splitmix64(cursor);
-        let v = (cursor % csr.num_vertices() as u64) as u32;
-        if csr.degree(v) > 0 && !roots.contains(&v) {
-            roots.push(v);
-        }
-    }
 
     let model = MachineModel::bgq_like();
     for &root in &roots {
