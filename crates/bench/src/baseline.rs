@@ -3,17 +3,17 @@
 //! `perf_baseline` measures the engine on both backends — the simulator
 //! (recorded under `pooled`, its pooled superstep buffers) and the
 //! real-thread backend — and records wall time, allocation counts,
-//! message traffic and simulated time here. The JSON is hand-rolled: the document is a
-//! shallow object tree, so rendering and extraction are a few lines
-//! each and the harness stays dependency-free.
+//! message traffic and simulated time here. Records render to [`Json`]
+//! through the shared [`sssp_core::json`] codec, and the `--check` gates
+//! read the committed document back through it by path
+//! (`scale_20.pooled.remote_msgs`, `serving.queries`).
 //!
 //! The document holds one block per measured R-MAT scale, keyed
 //! `"scale_N"`, plus an optional `"serving"` block recorded by
 //! `serve_bench` (concurrent multi-root query throughput over a resident
-//! graph). Each binary regenerates only its own block and preserves the
-//! others verbatim ([`upsert_scale_block`], [`upsert_serving_block`]), so
-//! the per-scale baselines and the serving baseline coexist in one
-//! committed file.
+//! graph). Each binary regenerates only its own block ([`record_block`]:
+//! parse, replace one key, render); the codec keeps number lexemes, so
+//! the other blocks come back textually identical.
 //!
 //! GTEPS conventions: every GTEPS figure in a block divides the same
 //! traversed-edge count (`gteps_edges`, the undirected input edge count)
@@ -21,6 +21,8 @@
 //! `gteps_wall` (and the threaded backend's `gteps`) use measured wall
 //! time. Compare wall to wall and simulated to simulated — the two clocks
 //! measure different machines.
+
+use sssp_core::json::{self, Json};
 
 /// Metrics of the measured simulated configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,30 +74,28 @@ impl PerfRecord {
         }
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"wall_ms\": {:.3}, \"allocs\": {}, \"alloc_bytes\": {}, ",
-                "\"supersteps\": {}, \"allocs_per_superstep\": {:.3}, ",
-                "\"msgs\": {}, \"remote_msgs\": {}, \"coalesced_msgs\": {}, ",
-                "\"coalesced_fraction\": {:.4}, ",
-                "\"simulated_s\": {:.6}, \"gteps\": {:.6}, ",
-                "\"gteps_wall\": {:.6}}}"
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("wall_ms", Json::fixed(self.wall_ms, 3)),
+            ("allocs", self.allocs.into()),
+            ("alloc_bytes", self.alloc_bytes.into()),
+            ("supersteps", self.supersteps.into()),
+            (
+                "allocs_per_superstep",
+                Json::fixed(self.allocs_per_superstep(), 3),
             ),
-            self.wall_ms,
-            self.allocs,
-            self.alloc_bytes,
-            self.supersteps,
-            self.allocs_per_superstep(),
-            self.msgs,
-            self.remote_msgs,
-            self.coalesced_msgs,
-            self.coalesced_fraction(),
-            self.simulated_s,
-            self.gteps,
-            self.gteps_wall,
-        )
+            ("msgs", self.msgs.into()),
+            ("remote_msgs", self.remote_msgs.into()),
+            ("coalesced_msgs", self.coalesced_msgs.into()),
+            (
+                "coalesced_fraction",
+                Json::fixed(self.coalesced_fraction(), 4),
+            ),
+            ("simulated_s", Json::fixed(self.simulated_s, 6)),
+            ("gteps", Json::fixed(self.gteps, 6)),
+            ("gteps_wall", Json::fixed(self.gteps_wall, 6)),
+        ])
     }
 }
 
@@ -137,23 +137,20 @@ impl ThreadedRecord {
         }
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"wall_ms\": {:.3}, \"gteps\": {:.6}, ",
-                "\"speedup_vs_pooled\": {:.3}, \"relax_local_msgs\": {}, ",
-                "\"relax_remote_msgs\": {}, ",
-                "\"coalesced_msgs\": {}, \"coalesced_fraction\": {:.4}}}"
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("wall_ms", Json::fixed(self.wall_ms, 3)),
+            ("gteps", Json::fixed(self.gteps, 6)),
+            ("speedup_vs_pooled", Json::fixed(self.speedup_vs_pooled, 3)),
+            ("relax_local_msgs", self.relax_local_msgs.into()),
+            ("relax_remote_msgs", self.relax_remote_msgs.into()),
+            ("coalesced_msgs", self.coalesced_msgs.into()),
+            (
+                "coalesced_fraction",
+                Json::fixed(self.coalesced_fraction(), 4),
             ),
-            self.wall_ms,
-            self.gteps,
-            self.speedup_vs_pooled,
-            self.relax_local_msgs,
-            self.relax_remote_msgs,
-            self.coalesced_msgs,
-            self.coalesced_fraction(),
-        )
+        ])
     }
 }
 
@@ -163,7 +160,7 @@ impl ThreadedRecord {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryRecord {
     /// 1 when the simulated and threaded traces diffed clean, else 0
-    /// (numeric so `extract_number` reads it like every other field).
+    /// (numeric, like every other gated field).
     pub backends_agree: u8,
     /// Buckets processed before the hybrid tail (per traced run).
     pub buckets: u64,
@@ -238,29 +235,21 @@ impl TelemetryRecord {
         problems
     }
 
-    /// Render as a JSON object literal.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"backends_agree\": {}, \"buckets\": {}, ",
-                "\"supersteps\": {}, \"local_msgs\": {}, ",
-                "\"remote_msgs\": {}, \"coalesced_msgs\": {}, ",
-                "\"wall_short_ns\": {}, \"wall_long_push_ns\": {}, ",
-                "\"wall_long_pull_ns\": {}, \"wall_bf_ns\": {}, ",
-                "\"wall_measured_ns\": {}}}"
-            ),
-            self.backends_agree,
-            self.buckets,
-            self.supersteps,
-            self.local_msgs,
-            self.remote_msgs,
-            self.coalesced_msgs,
-            self.wall_short_ns,
-            self.wall_long_push_ns,
-            self.wall_long_pull_ns,
-            self.wall_bf_ns,
-            self.wall_measured_ns,
-        )
+    /// The record as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("backends_agree", self.backends_agree.into()),
+            ("buckets", self.buckets.into()),
+            ("supersteps", self.supersteps.into()),
+            ("local_msgs", self.local_msgs.into()),
+            ("remote_msgs", self.remote_msgs.into()),
+            ("coalesced_msgs", self.coalesced_msgs.into()),
+            ("wall_short_ns", self.wall_short_ns.into()),
+            ("wall_long_push_ns", self.wall_long_push_ns.into()),
+            ("wall_long_pull_ns", self.wall_long_pull_ns.into()),
+            ("wall_bf_ns", self.wall_bf_ns.into()),
+            ("wall_measured_ns", self.wall_measured_ns.into()),
+        ])
     }
 }
 
@@ -290,28 +279,84 @@ pub struct PerfBaseline {
 }
 
 impl PerfBaseline {
-    /// Render this scale's block as pretty-enough JSON (an object literal;
-    /// the enclosing multi-scale document is assembled by
-    /// [`upsert_scale_block`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n    \"family\": \"{}\",\n",
-                "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
-                "    \"roots\": {},\n    \"gteps_edges\": {},\n",
-                "    \"pooled\": {},\n",
-                "    \"threaded\": {},\n    \"telemetry\": {}\n  }}"
-            ),
-            self.family,
-            self.scale,
-            self.ranks,
-            self.threads,
-            self.roots,
-            self.gteps_edges,
-            self.pooled.to_json(),
-            self.threaded.to_json(),
-            self.telemetry.to_json(),
-        )
+    /// This scale's block as a JSON object (stored under `"scale_N"`).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("family", self.family.as_str().into()),
+            ("scale", self.scale.into()),
+            ("ranks", self.ranks.into()),
+            ("threads", self.threads.into()),
+            ("roots", self.roots.into()),
+            ("gteps_edges", self.gteps_edges.into()),
+            ("pooled", self.pooled.to_json()),
+            ("threaded", self.threaded.to_json()),
+            ("telemetry", self.telemetry.to_json()),
+        ])
+    }
+
+    /// Gate this freshly measured block against the same scale's block of
+    /// the `committed` baseline document. Wall times and allocations per
+    /// superstep may not regress by more than `tol`; remote traffic is
+    /// deterministic for a fixed workload, so it may not drift in *either*
+    /// direction past `tol` (fewer messages means the accounting changed,
+    /// not the machine). The committed and the current traces must both
+    /// report agreeing backends, and the current wall-clock telemetry must
+    /// be self-consistent ([`TelemetryRecord::wall_problems`]).
+    pub fn check_against(&self, committed: &Json, tol: f64) -> Result<(), String> {
+        let key = format!("scale_{}", self.scale);
+        let block = committed
+            .at(&key)
+            .map_err(|_| format!("committed baseline has no {key} block"))?;
+        let mut problems = Vec::new();
+        let (p, t) = (&self.pooled, &self.telemetry);
+        let aps = p.allocs_per_superstep();
+        // (path in the block, current value, drift gate rather than regression gate)
+        let gates = [
+            ("pooled.wall_ms", p.wall_ms, false),
+            ("pooled.allocs_per_superstep", aps, false),
+            ("threaded.wall_ms", self.threaded.wall_ms, false),
+            ("pooled.remote_msgs", p.remote_msgs as f64, true),
+            ("telemetry.remote_msgs", t.remote_msgs as f64, true),
+        ];
+        for (name, now, drift) in gates {
+            let Ok(b) = block.f64_at(name) else {
+                problems.push(format!("committed baseline is missing {name}"));
+                continue;
+            };
+            if b > 0.0 && drift && (now / b - 1.0).abs() > tol {
+                problems.push(format!(
+                    "{name} drifted: {now:.0} vs baseline {b:.0} ({:+.1}%, tolerance {:.0}%)",
+                    100.0 * (now / b - 1.0),
+                    100.0 * tol
+                ));
+            } else if b > 0.0 && !drift && now > b * (1.0 + tol) {
+                problems.push(format!(
+                    "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
+                    100.0 * (now / b - 1.0),
+                    100.0 * tol
+                ));
+            }
+        }
+        match block.f64_at("telemetry.backends_agree") {
+            Ok(b) if b != 1.0 => problems.push(format!(
+                "committed baseline records backends_agree = {b} (expected 1)"
+            )),
+            Ok(_) => {}
+            Err(_) => {
+                problems.push("committed baseline is missing telemetry.backends_agree".to_string())
+            }
+        }
+        if t.backends_agree != 1 {
+            problems.push("simulated and threaded traces diverged in this run".to_string());
+        }
+        // The committed wall-clock telemetry is machine-dependent and not
+        // comparable; only the current run's is sanity-checked.
+        problems.extend(t.wall_problems());
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("\n"))
+        }
     }
 }
 
@@ -338,7 +383,7 @@ pub struct ServingRecord {
     /// serializes its workers is not serving concurrently.
     pub peak_inflight: usize,
     /// 1 when every served distance field was bit-identical to a fresh
-    /// one-shot engine run, else 0 (numeric for `extract_number`).
+    /// one-shot engine run, else 0 (numeric, like every other gated field).
     pub distances_match: u8,
     /// Distance-cache hits over the batch (repeat roots + landmarks).
     pub cache_hits: u64,
@@ -418,186 +463,164 @@ impl ServingRecord {
         problems
     }
 
-    /// Render as pretty-enough JSON (an object literal; the enclosing
-    /// document is assembled by [`upsert_serving_block`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n    \"family\": \"{}\",\n",
-                "    \"scale\": {},\n    \"ranks\": {},\n    \"threads\": {},\n",
-                "    \"max_inflight\": {},\n    \"queries\": {},\n",
-                "    \"peak_inflight\": {},\n    \"distances_match\": {},\n",
-                "    \"cache_hits\": {},\n    \"cache_misses\": {},\n",
-                "    \"p2p_epochs\": {},\n    \"full_epochs\": {},\n",
-                "    \"panicked\": {},\n    \"timed_out\": {},\n",
-                "    \"wall_ms\": {:.3},\n    \"queries_per_sec\": {:.3}\n  }}"
-            ),
-            self.family,
-            self.scale,
-            self.ranks,
-            self.threads,
-            self.max_inflight,
-            self.queries,
-            self.peak_inflight,
-            self.distances_match,
-            self.cache_hits,
-            self.cache_misses,
-            self.p2p_epochs,
-            self.full_epochs,
-            self.panicked,
-            self.timed_out,
-            self.wall_ms,
-            self.queries_per_sec,
-        )
+    /// The serving block as a JSON object (stored under `"serving"`).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("family", self.family.as_str().into()),
+            ("scale", self.scale.into()),
+            ("ranks", self.ranks.into()),
+            ("threads", self.threads.into()),
+            ("max_inflight", self.max_inflight.into()),
+            ("queries", self.queries.into()),
+            ("peak_inflight", self.peak_inflight.into()),
+            ("distances_match", self.distances_match.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_misses", self.cache_misses.into()),
+            ("p2p_epochs", self.p2p_epochs.into()),
+            ("full_epochs", self.full_epochs.into()),
+            ("panicked", self.panicked.into()),
+            ("timed_out", self.timed_out.into()),
+            ("wall_ms", Json::fixed(self.wall_ms, 3)),
+            ("queries_per_sec", Json::fixed(self.queries_per_sec, 3)),
+        ])
+    }
+
+    /// Read a serving block back (the inverse of [`ServingRecord::to_json`]).
+    fn from_json(v: &Json) -> Result<ServingRecord, String> {
+        Ok(ServingRecord {
+            family: v.str_at("family")?.to_string(),
+            scale: v.uint_at("scale")?,
+            ranks: v.uint_at("ranks")?,
+            threads: v.uint_at("threads")?,
+            max_inflight: v.uint_at("max_inflight")?,
+            queries: v.uint_at("queries")?,
+            peak_inflight: v.uint_at("peak_inflight")?,
+            distances_match: v.uint_at("distances_match")?,
+            cache_hits: v.uint_at("cache_hits")?,
+            cache_misses: v.uint_at("cache_misses")?,
+            p2p_epochs: v.uint_at("p2p_epochs")?,
+            full_epochs: v.uint_at("full_epochs")?,
+            panicked: v.uint_at("panicked")?,
+            timed_out: v.uint_at("timed_out")?,
+            wall_ms: v.f64_at("wall_ms")?,
+            queries_per_sec: v.f64_at("queries_per_sec")?,
+        })
+    }
+
+    /// Gate this freshly measured record and the `committed` document's
+    /// serving block: both must pass [`ServingRecord::problems`] (so the
+    /// committed block needs every field, crash-isolation counters
+    /// included), and the block must have been recorded with this run's
+    /// parameters — a baseline recorded at others gates nothing.
+    pub fn check_against(&self, committed: &Json) -> Result<(), String> {
+        let base = committed
+            .at("serving")
+            .map_err(|_| "committed baseline has no serving block".to_string())
+            .and_then(|block| {
+                ServingRecord::from_json(block).map_err(|e| format!("committed serving block: {e}"))
+            })?;
+        let mut problems = self.problems();
+        let committed_problems = base.problems().into_iter();
+        problems.extend(committed_problems.map(|p| format!("committed serving block: {p}")));
+        let params = |r: &ServingRecord| (r.scale, r.ranks, r.threads, r.max_inflight, r.queries);
+        if params(&base) != params(self) {
+            problems.push(format!(
+                "committed serving block was recorded with (scale, ranks, threads, \
+                 max_inflight, queries) = {:?}, this run uses {:?} — re-record the baseline",
+                params(&base),
+                params(self)
+            ));
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("\n"))
+        }
     }
 }
 
-/// Extract the number stored at `"key"` inside the object named `object`
-/// (pass `""` to search from the top of the document). Returns `None` when
-/// the object or key is absent or the value does not parse as a number.
-/// On a multi-scale document, slice out one scale's block with
-/// [`scale_block`] first — this function finds the *first* matching
-/// object name.
-pub fn extract_number(json: &str, object: &str, key: &str) -> Option<f64> {
-    let start = if object.is_empty() {
-        0
-    } else {
-        json.find(&format!("\"{object}\""))?
+/// Read and parse the baseline document at `path`.
+pub fn read_document(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    json::parse(&text)
+}
+
+/// Re-record the block `key` (`"scale_N"` or `"serving"`) of the baseline
+/// document at `path`: parse, replace that one key, render. `"bench"`
+/// comes first, then the scale blocks by scale, then the serving block.
+/// Other blocks keep their values verbatim; any other key (a legacy
+/// single-scale document's) is dropped. A missing file starts a fresh
+/// document; one that is not a JSON object is an error.
+pub fn record_block(path: &str, key: &str, block: Json) -> Result<(), String> {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let text = upsert_block(&existing, key, block)?;
+    std::fs::write(path, text).map_err(|e| e.to_string())
+}
+
+/// [`record_block`]'s document transformation on the text `existing`.
+fn upsert_block(existing: &str, key: &str, block: Json) -> Result<String, String> {
+    let mut blocks = match json::parse(existing) {
+        _ if existing.trim().is_empty() => Vec::new(),
+        Ok(Json::Obj(members)) => members,
+        Ok(_) => return Err("baseline document is not a JSON object".to_string()),
+        Err(e) => return Err(format!("baseline document is not valid JSON: {e}")),
     };
-    let tail = &json[start..];
-    let kpos = tail.find(&format!("\"{key}\""))?;
-    let after = &tail[kpos..];
-    let colon = after.find(':')?;
-    let rest = after[colon + 1..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    blocks.retain(|(k, _)| k != key && block_order(k).is_some());
+    blocks.push((key.to_string(), block));
+    blocks.sort_by_key(|(k, _)| block_order(k));
+    blocks.insert(0, ("bench".to_string(), "perf_baseline".into()));
+    Ok(Json::Obj(blocks).render())
 }
 
-/// All `"scale_N"` blocks of a multi-scale baseline document, as
-/// `(scale, raw object text)` pairs in document order. Brace counting is
-/// exact for the documents this module renders (no string values contain
-/// braces). A legacy single-scale document (no `"scale_N"` keys) yields
-/// an empty list.
-pub fn extract_scale_blocks(json: &str) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while let Some(i) = json[pos..].find("\"scale_") {
-        let digits_at = pos + i + "\"scale_".len();
-        let digits: String = json[digits_at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        pos = digits_at + digits.len();
-        let Ok(scale) = digits.parse::<u32>() else {
-            continue;
-        };
-        let Some(open) = json[pos..].find('{') else {
-            break;
-        };
-        let start = pos + open;
-        let mut depth = 0usize;
-        let mut end = None;
-        for (j, c) in json[start..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(start + j + 1);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else {
-            break;
-        };
-        out.push((scale, json[start..end].to_string()));
-        pos = end;
-    }
-    out
-}
-
-/// The raw `"scale_N"` block for one scale, if the document has one.
-/// `--check` slices the committed baseline with this before extracting
-/// gate values, so same-named objects in other scales' blocks cannot
-/// shadow the right ones.
-pub fn scale_block(json: &str, scale: u32) -> Option<String> {
-    extract_scale_blocks(json)
-        .into_iter()
-        .find(|(s, _)| *s == scale)
-        .map(|(_, b)| b)
-}
-
-/// The raw `"serving"` block of a baseline document, if it has one.
-/// Exact brace counting, same conventions as [`extract_scale_blocks`];
-/// scans from the end of the last scale block so same-named keys inside
-/// scale blocks (there are none today) can never shadow it.
-pub fn serving_block(json: &str) -> Option<String> {
-    let after_scales = extract_scale_blocks(json)
-        .last()
-        .and_then(|(_, b)| json.rfind(b.as_str()).map(|i| i + b.len()))
-        .unwrap_or(0);
-    let tail = &json[after_scales..];
-    let kpos = tail.find("\"serving\"")?;
-    let open = after_scales + kpos + tail[kpos..].find('{')?;
-    let mut depth = 0usize;
-    for (j, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..open + j + 1].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Assemble the whole document from its blocks: scale blocks sorted by
-/// scale, then the serving block (when present) last.
-fn render_document(blocks: &[(u32, String)], serving: Option<&str>) -> String {
-    let mut body: Vec<String> = blocks
-        .iter()
-        .map(|(s, b)| format!("  \"scale_{s}\": {b}"))
-        .collect();
-    if let Some(sv) = serving {
-        body.push(format!("  \"serving\": {sv}"));
-    }
-    format!(
-        "{{\n  \"bench\": \"perf_baseline\",\n{}\n}}\n",
-        body.join(",\n")
-    )
-}
-
-/// Replace (or insert) one scale's block in a baseline document and
-/// render the result, blocks sorted by scale. Blocks for other scales
-/// and the serving block in `existing` are preserved verbatim; a legacy
-/// single-scale document contributes nothing and is superseded.
-pub fn upsert_scale_block(existing: &str, scale: u32, block: &str) -> String {
-    let mut blocks = extract_scale_blocks(existing);
-    blocks.retain(|(s, _)| *s != scale);
-    blocks.push((scale, block.to_string()));
-    blocks.sort_by_key(|(s, _)| *s);
-    let serving = serving_block(existing);
-    render_document(&blocks, serving.as_deref())
-}
-
-/// Replace (or insert) the serving block in a baseline document and
-/// render the result. Every scale block in `existing` is preserved
-/// verbatim.
-pub fn upsert_serving_block(existing: &str, block: &str) -> String {
-    let blocks = extract_scale_blocks(existing);
-    render_document(&blocks, Some(block))
+/// A block's place in the document: scale blocks by scale, then the
+/// serving block; `None` for any other key.
+fn block_order(key: &str) -> Option<(bool, u32)> {
+    let scale = key.strip_prefix("scale_").and_then(|s| s.parse().ok());
+    scale
+        .map(|s| (false, s))
+        .or((key == "serving").then_some((true, 0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The committed baseline document.
+    const COMMITTED: &str = include_str!("../../../BENCH_sssp.json");
+
+    fn committed() -> Json {
+        json::parse(COMMITTED).expect("committed baseline parses")
+    }
+
+    /// `doc` with the member at `path` removed.
+    fn without(mut doc: Json, path: &[&str]) -> Json {
+        let (last, parents) = path.split_last().expect("non-empty path");
+        let mut v = &mut doc;
+        for key in parents {
+            let Json::Obj(members) = v else {
+                panic!("{key}: not an object")
+            };
+            v = &mut members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("present")
+                .1;
+        }
+        let Json::Obj(members) = v else {
+            panic!("{last}: not in an object")
+        };
+        members.retain(|(k, _)| k != last);
+        doc
+    }
+
+    /// Problem lines of a check that name a missing committed key.
+    fn missing_lines(check: Result<(), String>) -> Vec<String> {
+        let msg = check.err().unwrap_or_default();
+        msg.lines()
+            .filter(|l| l.contains("missing"))
+            .map(str::to_string)
+            .collect()
+    }
 
     fn sample() -> PerfBaseline {
         PerfBaseline {
@@ -645,59 +668,31 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_extract() {
-        let json = sample().to_json();
-        assert_eq!(extract_number(&json, "", "scale"), Some(10.0));
-        assert_eq!(extract_number(&json, "", "ranks"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "gteps_edges"), Some(16384.0));
-        assert_eq!(extract_number(&json, "pooled", "gteps_wall"), Some(0.004));
-        assert_eq!(extract_number(&json, "pooled", "wall_ms"), Some(12.5));
-        assert_eq!(extract_number(&json, "pooled", "allocs"), Some(480.0));
-        assert_eq!(extract_number(&json, "pooled", "msgs"), Some(30000.0));
+        let doc = json::parse(&sample().to_json().render()).expect("rendered block parses");
+        assert_eq!(doc, sample().to_json());
+        let num = |path: &str| doc.f64_at(path).expect(path);
+        assert_eq!(num("scale"), 10.0);
+        assert_eq!(num("ranks"), 4.0);
+        assert_eq!(doc.uint_at::<u64>("gteps_edges"), Ok(16384));
+        assert_eq!(num("pooled.gteps_wall"), 0.004);
+        assert_eq!(num("pooled.wall_ms"), 12.5);
+        assert_eq!(doc.uint_at::<u64>("pooled.allocs"), Ok(480));
+        assert_eq!(doc.uint_at::<u64>("pooled.msgs"), Ok(30000));
+        assert_eq!(num("pooled.allocs_per_superstep"), 4.0);
+        assert_eq!(doc.uint_at::<u64>("pooled.remote_msgs"), Ok(22000));
+        assert_eq!(num("threaded.wall_ms"), 5.0);
+        assert_eq!(num("threaded.speedup_vs_pooled"), 2.5);
+        assert_eq!(doc.uint_at::<u64>("threaded.relax_local_msgs"), Ok(6000));
+        assert_eq!(doc.uint_at::<u64>("threaded.relax_remote_msgs"), Ok(22000));
+        assert_eq!(doc.uint_at::<u64>("threaded.coalesced_msgs"), Ok(10000));
+        assert_eq!(doc.uint_at::<u64>("telemetry.backends_agree"), Ok(1));
+        assert_eq!(doc.uint_at::<u64>("telemetry.buckets"), Ok(40));
+        assert_eq!(doc.uint_at::<u64>("telemetry.remote_msgs"), Ok(22000));
+        assert_eq!(doc.uint_at::<u64>("telemetry.wall_short_ns"), Ok(1_500_000));
+        assert_eq!(doc.uint_at::<u64>("telemetry.wall_bf_ns"), Ok(100_000));
         assert_eq!(
-            extract_number(&json, "pooled", "allocs_per_superstep"),
-            Some(4.0)
-        );
-        assert_eq!(
-            extract_number(&json, "pooled", "remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(extract_number(&json, "threaded", "wall_ms"), Some(5.0));
-        assert_eq!(
-            extract_number(&json, "threaded", "speedup_vs_pooled"),
-            Some(2.5)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "relax_local_msgs"),
-            Some(6000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "relax_remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "threaded", "coalesced_msgs"),
-            Some(10000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "backends_agree"),
-            Some(1.0)
-        );
-        assert_eq!(extract_number(&json, "telemetry", "buckets"), Some(40.0));
-        assert_eq!(
-            extract_number(&json, "telemetry", "remote_msgs"),
-            Some(22000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "wall_short_ns"),
-            Some(1_500_000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "wall_bf_ns"),
-            Some(100_000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "telemetry", "wall_measured_ns"),
-            Some(3_000_000.0)
+            doc.uint_at::<u64>("telemetry.wall_measured_ns"),
+            Ok(3_000_000)
         );
     }
 
@@ -741,19 +736,18 @@ mod tests {
         twenty.scale = 20;
         twenty.pooled.wall_ms = 400.0;
 
-        let doc = upsert_scale_block("", 10, &ten.to_json());
-        let doc = upsert_scale_block(&doc, 20, &twenty.to_json());
+        let doc = upsert_block("", "scale_20", twenty.to_json()).expect("fresh document");
+        let doc = upsert_block(&doc, "scale_10", ten.to_json()).expect("valid document");
+        let doc = json::parse(&doc).expect("rendered document parses");
 
-        let blocks = extract_scale_blocks(&doc);
-        assert_eq!(
-            blocks.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
-        let b10 = scale_block(&doc, 10).expect("scale 10 block");
-        let b20 = scale_block(&doc, 20).expect("scale 20 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(12.5));
-        assert_eq!(extract_number(&b20, "pooled", "wall_ms"), Some(400.0));
-        assert_eq!(scale_block(&doc, 15), None);
+        let Json::Obj(members) = &doc else {
+            panic!("document is an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "scale_10", "scale_20"]);
+        assert_eq!(doc.f64_at("scale_10.pooled.wall_ms"), Ok(12.5));
+        assert_eq!(doc.f64_at("scale_20.pooled.wall_ms"), Ok(400.0));
+        assert!(doc.at("scale_15").is_err());
     }
 
     #[test]
@@ -762,19 +756,20 @@ mod tests {
         let mut twenty = sample();
         twenty.scale = 20;
         twenty.pooled.wall_ms = 400.0;
-        let doc = upsert_scale_block("", 10, &ten.to_json());
-        let doc = upsert_scale_block(&doc, 20, &twenty.to_json());
+        let doc = upsert_block("", "scale_10", ten.to_json()).expect("fresh document");
+        let doc = upsert_block(&doc, "scale_20", twenty.to_json()).expect("valid document");
 
         // Re-record scale 10 with a different wall time: scale 20 must
-        // survive byte-for-byte.
-        let before_20 = scale_block(&doc, 20).expect("scale 20 block");
+        // survive unchanged.
         let mut ten2 = sample();
         ten2.pooled.wall_ms = 9.0;
-        let doc2 = upsert_scale_block(&doc, 10, &ten2.to_json());
-        let b10 = scale_block(&doc2, 10).expect("scale 10 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(9.0));
-        assert_eq!(scale_block(&doc2, 20).expect("scale 20 block"), before_20);
-        assert_eq!(extract_scale_blocks(&doc2).len(), 2);
+        let doc2 = upsert_block(&doc, "scale_10", ten2.to_json()).expect("valid document");
+        let (doc, doc2) = (
+            json::parse(&doc).expect("parses"),
+            json::parse(&doc2).expect("parses"),
+        );
+        assert_eq!(doc2.f64_at("scale_10.pooled.wall_ms"), Ok(9.0));
+        assert_eq!(doc2.at("scale_20"), doc.at("scale_20"));
     }
 
     #[test]
@@ -783,10 +778,10 @@ mod tests {
         // preserve, the fresh block becomes the whole document.
         let legacy = "{\n  \"bench\": \"perf_baseline\",\n  \"scale\": 10,\n  \
                       \"pooled\": {\"wall_ms\": 26.897}\n}\n";
-        assert!(extract_scale_blocks(legacy).is_empty());
-        let doc = upsert_scale_block(legacy, 10, &sample().to_json());
-        let b10 = scale_block(&doc, 10).expect("scale 10 block");
-        assert_eq!(extract_number(&b10, "pooled", "wall_ms"), Some(12.5));
+        let doc = upsert_block(legacy, "scale_10", sample().to_json()).expect("valid document");
+        let fresh = upsert_block("", "scale_10", sample().to_json()).expect("fresh document");
+        assert_eq!(doc, fresh);
+        assert!(upsert_block("not json", "scale_10", sample().to_json()).is_err());
     }
 
     fn sample_serving() -> ServingRecord {
@@ -812,17 +807,20 @@ mod tests {
 
     #[test]
     fn serving_json_roundtrips_through_extract() {
-        let json = sample_serving().to_json();
-        assert_eq!(extract_number(&json, "", "max_inflight"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "queries"), Some(24.0));
-        assert_eq!(extract_number(&json, "", "peak_inflight"), Some(4.0));
-        assert_eq!(extract_number(&json, "", "distances_match"), Some(1.0));
-        assert_eq!(extract_number(&json, "", "cache_hits"), Some(6.0));
-        assert_eq!(extract_number(&json, "", "p2p_epochs"), Some(9.0));
-        assert_eq!(extract_number(&json, "", "full_epochs"), Some(31.0));
-        assert_eq!(extract_number(&json, "", "panicked"), Some(0.0));
-        assert_eq!(extract_number(&json, "", "timed_out"), Some(0.0));
-        assert_eq!(extract_number(&json, "", "queries_per_sec"), Some(133.3));
+        let doc = json::parse(&sample_serving().to_json().render()).expect("parses");
+        assert_eq!(doc, sample_serving().to_json());
+        assert_eq!(doc.uint_at::<u64>("max_inflight"), Ok(4));
+        assert_eq!(doc.uint_at::<u64>("queries"), Ok(24));
+        assert_eq!(doc.uint_at::<u64>("peak_inflight"), Ok(4));
+        assert_eq!(doc.uint_at::<u64>("distances_match"), Ok(1));
+        assert_eq!(doc.uint_at::<u64>("cache_hits"), Ok(6));
+        assert_eq!(doc.uint_at::<u64>("p2p_epochs"), Ok(9));
+        assert_eq!(doc.uint_at::<u64>("full_epochs"), Ok(31));
+        assert_eq!(doc.uint_at::<u64>("panicked"), Ok(0));
+        assert_eq!(doc.uint_at::<u64>("timed_out"), Ok(0));
+        assert_eq!(doc.f64_at("queries_per_sec"), Ok(133.3));
+        let back = ServingRecord::from_json(&doc).expect("reads back");
+        assert_eq!(back.to_json(), doc);
     }
 
     #[test]
@@ -864,38 +862,126 @@ mod tests {
 
     #[test]
     fn serving_block_coexists_with_scale_blocks() {
-        let doc = upsert_scale_block("", 10, &sample().to_json());
-        let doc = upsert_serving_block(&doc, &sample_serving().to_json());
+        let doc = upsert_block("", "scale_10", sample().to_json()).expect("fresh document");
+        let doc = upsert_block(&doc, "serving", sample_serving().to_json()).expect("valid");
 
-        // Both block kinds survive each other's upserts verbatim.
-        let sv = serving_block(&doc).expect("serving block");
-        assert_eq!(extract_number(&sv, "", "queries"), Some(24.0));
+        // Both block kinds survive each other's upserts.
         let mut twenty = sample();
         twenty.scale = 20;
-        let doc2 = upsert_scale_block(&doc, 20, &twenty.to_json());
-        assert_eq!(serving_block(&doc2).expect("serving survives"), sv);
-        assert_eq!(extract_scale_blocks(&doc2).len(), 2);
+        let doc2 = upsert_block(&doc, "scale_20", twenty.to_json()).expect("valid");
+        let parsed = json::parse(&doc2).expect("parses");
+        assert_eq!(parsed.at("serving"), Ok(&sample_serving().to_json()));
+        assert_eq!(parsed.uint_at::<u64>("scale_20.scale"), Ok(20));
+        let Json::Obj(members) = &parsed else {
+            panic!("document is an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "scale_10", "scale_20", "serving"]);
 
         let mut sv2 = sample_serving();
         sv2.queries = 48;
-        let doc3 = upsert_serving_block(&doc2, &sv2.to_json());
-        assert_eq!(extract_scale_blocks(&doc3).len(), 2);
-        let sv3 = serving_block(&doc3).expect("serving block");
-        assert_eq!(extract_number(&sv3, "", "queries"), Some(48.0));
-
-        // A document without a serving block yields None.
-        assert_eq!(
-            serving_block(&upsert_scale_block("", 10, &sample().to_json())),
-            None
-        );
+        let doc3 = upsert_block(&doc2, "serving", sv2.to_json()).expect("valid");
+        let parsed = json::parse(&doc3).expect("parses");
+        assert_eq!(parsed.uint_at::<u64>("serving.queries"), Ok(48));
+        assert_eq!(parsed.uint_at::<u64>("scale_10.scale"), Ok(10));
+        assert_eq!(parsed.uint_at::<u64>("scale_20.scale"), Ok(20));
     }
 
     #[test]
     fn extract_missing_returns_none() {
-        let json = sample().to_json();
-        assert_eq!(extract_number(&json, "pooled", "no_such_key"), None);
-        assert_eq!(extract_number(&json, "no_such_object", "wall_ms"), None);
-        assert_eq!(extract_number("not json at all", "", "wall_ms"), None);
+        let doc = sample().to_json();
+        assert_eq!(
+            doc.f64_at("pooled.no_such_key"),
+            Err("missing pooled.no_such_key".to_string())
+        );
+        assert!(doc.f64_at("no_such_object.wall_ms").is_err());
+        // A key is only looked up inside its own object, never past it.
+        assert!(doc.f64_at("pooled.buckets").is_err());
+        assert!(json::parse("not json at all").is_err());
+    }
+
+    #[test]
+    fn scale_check_reports_a_key_missing_from_its_own_block() {
+        // Telemetry's remote_msgs sits right after the pooled record; the
+        // lookup must not fall through to it.
+        let doc = without(committed(), &["scale_20", "pooled", "remote_msgs"]);
+        let mut current = sample();
+        current.scale = 20;
+        assert_eq!(
+            missing_lines(current.check_against(&doc, 0.25)),
+            ["committed baseline is missing pooled.remote_msgs"]
+        );
+        current.scale = 15;
+        assert_eq!(
+            current.check_against(&doc, 0.25),
+            Err("committed baseline has no scale_15 block".to_string())
+        );
+    }
+
+    #[test]
+    fn serving_check_reports_a_key_missing_from_its_block() {
+        let doc = without(committed(), &["serving", "queries"]);
+        assert_eq!(
+            sample_serving().check_against(&doc),
+            Err("committed serving block: missing queries".to_string())
+        );
+        let doc = without(committed(), &["serving"]);
+        assert_eq!(
+            sample_serving().check_against(&doc),
+            Err("committed baseline has no serving block".to_string())
+        );
+    }
+
+    #[test]
+    fn committed_baseline_has_every_gated_key() {
+        // Every key the `--check` gates read is present and numeric: at
+        // both committed scales (a renamed key would surface as a
+        // "missing" problem) and in the serving block, which must read
+        // back whole.
+        let doc = committed();
+        for scale in [10, 20] {
+            let mut current = sample();
+            current.scale = scale;
+            assert_eq!(
+                missing_lines(current.check_against(&doc, 0.25)),
+                Vec::<String>::new()
+            );
+        }
+        let serving = doc.at("serving").expect("committed serving block");
+        assert_eq!(
+            ServingRecord::from_json(serving).map(|r| r.to_json()),
+            Ok(serving.clone())
+        );
+    }
+
+    #[test]
+    fn upsert_keeps_other_blocks_textually_identical() {
+        let doc = committed();
+        // Re-recording a block with its own values reproduces the file.
+        for key in ["scale_10", "scale_20", "serving"] {
+            let block = doc.at(key).expect("committed block").clone();
+            assert_eq!(
+                upsert_block(COMMITTED, key, block).as_deref(),
+                Ok(COMMITTED)
+            );
+        }
+        // Re-recording scale 10 leaves every other line as committed.
+        let other_lines = |text: &str| -> Vec<String> {
+            let mut in_scale_10 = false;
+            let mut kept = Vec::new();
+            for line in text.lines() {
+                if line.starts_with("  \"") {
+                    in_scale_10 = line.starts_with("  \"scale_10\"");
+                }
+                if !in_scale_10 {
+                    kept.push(line.to_string());
+                }
+            }
+            kept
+        };
+        let updated = upsert_block(COMMITTED, "scale_10", sample().to_json()).expect("valid");
+        assert_ne!(updated, COMMITTED);
+        assert_eq!(other_lines(&updated), other_lines(COMMITTED));
     }
 
     #[test]

@@ -26,8 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sssp_bench::baseline::{
-    extract_number, scale_block, upsert_scale_block, PerfBaseline, PerfRecord, TelemetryRecord,
-    ThreadedRecord,
+    read_document, record_block, PerfBaseline, PerfRecord, TelemetryRecord, ThreadedRecord,
 };
 use sssp_bench::{build_family, pick_roots, print_table, Family};
 use sssp_comm::cost::MachineModel;
@@ -205,90 +204,6 @@ fn measure_telemetry(
     }
 }
 
-/// Gate the freshly measured `current` document against one scale's block
-/// of the committed baseline (slice the committed document with
-/// [`scale_block`] first — the extractors here find first matches).
-fn check_against(committed: &str, current: &PerfBaseline) -> Result<(), String> {
-    let tol: f64 = std::env::var("SSSP_PERF_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let mut problems = Vec::new();
-    let mut gate = |name: &str, base: Option<f64>, now: f64| match base {
-        Some(b) if b > 0.0 && now > b * (1.0 + tol) => {
-            problems.push(format!(
-                "{name} regressed: {now:.3} vs baseline {b:.3} (+{:.0}% > {:.0}% tolerance)",
-                100.0 * (now / b - 1.0),
-                100.0 * tol
-            ));
-        }
-        Some(_) => {}
-        None => problems.push(format!("committed baseline is missing {name}")),
-    };
-    gate(
-        "pooled.wall_ms",
-        extract_number(committed, "pooled", "wall_ms"),
-        current.pooled.wall_ms,
-    );
-    gate(
-        "pooled.allocs_per_superstep",
-        extract_number(committed, "pooled", "allocs_per_superstep"),
-        current.pooled.allocs_per_superstep(),
-    );
-    gate(
-        "threaded.wall_ms",
-        extract_number(committed, "threaded", "wall_ms"),
-        current.threaded.wall_ms,
-    );
-    // Remote-message drift gate: wire traffic is deterministic for a fixed
-    // workload, so it may not drift in *either* direction past the
-    // tolerance — fewer messages than the baseline is as suspicious as
-    // more (it means the accounting changed, not the machine).
-    let mut drift = |name: &str, base: Option<f64>, now: f64| match base {
-        Some(b) if b > 0.0 && (now / b - 1.0).abs() > tol => {
-            problems.push(format!(
-                "{name} drifted: {now:.0} vs baseline {b:.0} ({:+.1}%, tolerance {:.0}%)",
-                100.0 * (now / b - 1.0),
-                100.0 * tol
-            ));
-        }
-        Some(_) => {}
-        None => problems.push(format!("committed baseline is missing {name}")),
-    };
-    drift(
-        "pooled.remote_msgs",
-        extract_number(committed, "pooled", "remote_msgs"),
-        current.pooled.remote_msgs as f64,
-    );
-    drift(
-        "telemetry.remote_msgs",
-        extract_number(committed, "telemetry", "remote_msgs"),
-        current.telemetry.remote_msgs as f64,
-    );
-    match extract_number(committed, "telemetry", "backends_agree") {
-        Some(b) => {
-            if b != 1.0 {
-                problems.push(format!(
-                    "committed baseline records backends_agree = {b} (expected 1)"
-                ));
-            }
-        }
-        None => problems.push("committed baseline is missing telemetry.backends_agree".to_string()),
-    }
-    if current.telemetry.backends_agree != 1 {
-        problems.push("simulated and threaded traces diverged in this run".to_string());
-    }
-    // Wall-clock telemetry sanity: gates on the CURRENT run only (the
-    // committed baseline's wall numbers are machine-dependent and not
-    // comparable, but a freshly measured run must be self-consistent).
-    problems.extend(current.telemetry.wall_problems());
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
-}
-
 fn main() {
     // Pin the worker count unless the caller chose one: the allocation
     // numbers in a recorded baseline must not depend on the machine's
@@ -429,27 +344,18 @@ fn main() {
 
     // Re-record only this scale's block; other scales' blocks in an
     // existing document survive verbatim.
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let json = upsert_scale_block(&existing, scale, &doc.to_json());
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
+    if let Err(e) = record_block(&out_path, &format!("scale_{scale}"), doc.to_json()) {
+        eprintln!("cannot update {out_path}: {e}");
         std::process::exit(1);
     }
     println!("wrote {out_path} (scale_{scale} block)");
 
     if let Some(path) = check_path {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read committed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(block) = scale_block(&committed, scale) else {
-            eprintln!("committed baseline {path} has no scale_{scale} block");
-            std::process::exit(1);
-        };
-        match check_against(&block, &doc) {
+        let tol: f64 = std::env::var("SSSP_PERF_TOLERANCE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0.25);
+        match read_document(&path).and_then(|committed| doc.check_against(&committed, tol)) {
             Ok(()) => println!("perf check against {path} (scale_{scale}): OK"),
             Err(msg) => {
                 eprintln!("perf check against {path} (scale_{scale}) FAILED:\n{msg}");

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sssp_bench::baseline::{extract_number, serving_block, upsert_serving_block, ServingRecord};
+use sssp_bench::baseline::{read_document, record_block, ServingRecord};
 use sssp_bench::{build_family, pick_roots, print_table, Family};
 use sssp_comm::cost::MachineModel;
 use sssp_core::config::SsspConfig;
@@ -76,77 +76,6 @@ fn measure_epoch_savings(
         .expect("probe point-to-point");
     assert!(!p2p.cache_hit, "cache-less probe must run the engine");
     (p2p.epochs, full.epochs)
-}
-
-/// Gate the committed serving block and the freshly measured record.
-fn check_against(committed_block: &str, current: &ServingRecord) -> Result<(), String> {
-    let mut problems = current.problems();
-    let mut missing: Vec<String> = Vec::new();
-    let mut field = |name: &str| -> f64 {
-        match extract_number(committed_block, "", name) {
-            Some(v) => v,
-            None => {
-                missing.push(format!("committed serving block is missing {name}"));
-                f64::NAN
-            }
-        }
-    };
-    // Config drift: a committed baseline recorded at other parameters
-    // gates nothing — fail loudly instead of comparing unlike runs.
-    for (name, now) in [
-        ("scale", current.scale as f64),
-        ("ranks", current.ranks as f64),
-        ("threads", current.threads as f64),
-        ("max_inflight", current.max_inflight as f64),
-        ("queries", current.queries as f64),
-    ] {
-        let base = field(name);
-        if !base.is_nan() && base != now {
-            problems.push(format!(
-                "committed serving block was recorded with {name} = {base}, \
-                 this run uses {now} — re-record the baseline"
-            ));
-        }
-    }
-    // Structural gates on the committed block itself: the committed
-    // baseline must describe a healthy serving layer.
-    let committed_match = field("distances_match");
-    if committed_match == 0.0 {
-        problems.push("committed serving block records diverging distances".to_string());
-    }
-    let (peak, bound) = (field("peak_inflight"), field("max_inflight"));
-    if peak < bound {
-        problems.push(format!(
-            "committed serving block never saturated its admission bound \
-             ({peak} < {bound})"
-        ));
-    }
-    let (p2p, full) = (field("p2p_epochs"), field("full_epochs"));
-    if p2p >= full {
-        problems.push(format!(
-            "committed serving block records no point-to-point epoch \
-             savings ({p2p} vs {full})"
-        ));
-    }
-    // Crash-isolation gate: the failure counters must be present in the
-    // committed block (a block without them predates the unwind-safety
-    // work) and must both be zero — a clean benchmark run neither
-    // panics nor times out.
-    for name in ["panicked", "timed_out"] {
-        let v = field(name);
-        if !v.is_nan() && v != 0.0 {
-            problems.push(format!(
-                "committed serving block records {name} = {v} — the clean \
-                 benchmark run must not trip the failure paths"
-            ));
-        }
-    }
-    problems.extend(missing);
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("\n"))
-    }
 }
 
 fn main() {
@@ -330,27 +259,14 @@ fn main() {
 
     // Re-record only the serving block; every scale block in an existing
     // document survives verbatim.
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let json = upsert_serving_block(&existing, &record.to_json());
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
+    if let Err(e) = record_block(&out_path, "serving", record.to_json()) {
+        eprintln!("cannot update {out_path}: {e}");
         std::process::exit(1);
     }
     println!("wrote {out_path} (serving block)");
 
     if let Some(path) = check_path {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read committed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(block) = serving_block(&committed) else {
-            eprintln!("committed baseline {path} has no serving block");
-            std::process::exit(1);
-        };
-        match check_against(&block, &record) {
+        match read_document(&path).and_then(|committed| record.check_against(&committed)) {
             Ok(()) => println!("serving check against {path}: OK"),
             Err(msg) => {
                 eprintln!("serving check against {path} FAILED:\n{msg}");

@@ -3,9 +3,10 @@
 //!
 //! Usage:
 //!   cargo run -p sssp-bench --bin trace_diff -- A.json B.json
-//!       Diff two exported trace files (see `RunTrace::to_json`). Exits
-//!       nonzero and lists every differing field when the traces disagree
-//!       (timing fields and backend names are ignored by design).
+//!       Diff two exported trace files (`RunTrace::to_json`, any JSON
+//!       layout). Exits 1 and lists every differing field when the traces
+//!       disagree (timing fields and backend names are ignored by design),
+//!       2 when a file is not a run trace (malformed, truncated, too deep).
 //!
 //!   cargo run -p sssp-bench --bin trace_diff -- --self-check
 //!       Run the simulated and threaded engines over the bench graph

@@ -44,16 +44,16 @@ pub struct RankCtx<M> {
     barrier: Arc<Barrier>,
     /// Rendezvous buffer for collectives (one slot per rank).
     slots: Arc<Mutex<Vec<Option<u64>>>>,
-    /// Recycled transport buffers for [`RankCtx::exchange_pooled`]: the `p`
+    /// Recycled transport buffers for [`RankCtx::exchange_pooled_counted`]: the `p`
     /// batches drained at superstep `s` become the send buffers of `s + 1`,
     /// so the pool never holds more than `p` vectors.
     spare: Vec<Vec<M>>,
     /// Reusable receive staging area (batches sorted by source rank).
     batches: Vec<(Rank, Vec<M>)>,
-    /// Largest batch moved through [`RankCtx::exchange_pooled`] since the
+    /// Largest batch moved through [`RankCtx::exchange_pooled_counted`] since the
     /// last [`RankCtx::trim_spares`] — the spare pool's high-water mark.
     watermark: usize,
-    /// Largest batch moved through [`RankCtx::exchange_pooled`] since the
+    /// Largest batch moved through [`RankCtx::exchange_pooled_counted`] since the
     /// last [`RankCtx::finish_query`] — the *query*-scoped high-water mark.
     /// Unlike `watermark` it survives per-epoch trims, so the end-of-query
     /// trim reflects the whole query's traffic, not just its last epoch.
@@ -160,15 +160,11 @@ impl<M: Send> RankCtx<M> {
     /// emptied buffer for the next superstep. `out` lanes are left empty
     /// with capacity intact, so after a warm-up superstep the steady state
     /// allocates nothing on either side of the channel.
-    pub fn exchange_pooled(&mut self, out: &mut [Vec<M>], inbox: &mut Vec<M>) {
-        self.exchange_pooled_counted(out, inbox, 0, None);
-    }
-
-    /// [`RankCtx::exchange_pooled`] plus per-rank transport accounting:
-    /// returns how many messages this rank kept local vs. put on the wire,
-    /// and the framed byte volume it sent and received, under the same
-    /// `msg_bytes`/`packet` wire model the simulator's
-    /// [`crate::transport::SimWorld`] charges.
+    ///
+    /// Returns per-rank transport accounting: how many messages this rank
+    /// kept local vs. put on the wire, and the framed byte volume it sent
+    /// and received, under the same `msg_bytes`/`packet` wire model the
+    /// simulator's [`crate::transport::SimWorld`] charges.
     pub fn exchange_pooled_counted(
         &mut self,
         out: &mut [Vec<M>],
@@ -502,7 +498,7 @@ mod tests {
     /// One exchange of freshly built lanes.
     fn swap<M: Send>(ctx: &mut RankCtx<M>, mut out: Vec<Vec<M>>) -> Vec<M> {
         let mut inbox = Vec::new();
-        ctx.exchange_pooled(&mut out, &mut inbox);
+        ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
         inbox
     }
 
@@ -588,7 +584,7 @@ mod tests {
                 for (dst, lane) in out.iter_mut().enumerate() {
                     lane.push((ctx.rank(), dst + 10 * round));
                 }
-                ctx.exchange_pooled(&mut out, &mut inbox);
+                ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
                 assert!(out.iter().all(Vec::is_empty), "lanes must be drained");
                 history.push(inbox.clone());
             }
@@ -618,7 +614,7 @@ mod tests {
                         lane.extend(0..100);
                     }
                 }
-                ctx.exchange_pooled(&mut out, &mut inbox);
+                ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
                 sizes.push(inbox.len());
             }
             sizes
@@ -655,20 +651,20 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.extend(0..5000);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             let flood_trim = ctx.trim_spares();
             // Epoch 2: steady trickle; the flood-sized spares now exceed
             // 4× the epoch's high-water mark and must be released.
             for lane in out.iter_mut() {
                 lane.push(1);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             let steady_trim = ctx.trim_spares();
             // Later supersteps keep working after the pool was emptied.
             for lane in out.iter_mut() {
                 lane.push(2);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             (flood_trim, steady_trim, inbox.len())
         });
         for (flood_trim, steady_trim, len) in trims {
@@ -692,16 +688,16 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.extend(0..8);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             ctx.trim_spares();
             // Epoch 2: completely quiet — empty lanes, zero watermark.
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             let quiet_trim = ctx.trim_spares();
             // Epoch 3: traffic resumes; the pool must still be warm.
             for lane in out.iter_mut() {
                 lane.push(9);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             (quiet_trim, inbox.len())
         });
         for (quiet_trim, len) in trims {
@@ -726,7 +722,7 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.extend(0..5000);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             ctx.trim_spares();
             ctx.finish_query();
             let after_flood = ctx.max_spare_capacity();
@@ -735,7 +731,7 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.push(1);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             ctx.trim_spares();
             ctx.finish_query();
             let after_trickle = ctx.max_spare_capacity();
@@ -743,7 +739,7 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.push(2);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             (after_flood, after_trickle, inbox.len())
         });
         for (after_flood, after_trickle, len) in caps {
@@ -770,7 +766,7 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.extend(0..1000);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             ctx.trim_spares();
             let released = ctx.finish_query();
             (released, ctx.max_spare_capacity())
@@ -792,7 +788,7 @@ mod tests {
             for lane in out.iter_mut() {
                 lane.extend(0..256);
             }
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             ctx.release_spares()
         });
         let payloads: Vec<Vec<Vec<u64>>> = spares;
@@ -802,7 +798,7 @@ mod tests {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![7]).collect();
             let mut inbox = Vec::new();
-            ctx.exchange_pooled(&mut out, &mut inbox);
+            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
             (warm, inbox)
         });
         for (warm, inbox) in results {
@@ -877,7 +873,7 @@ mod tests {
                     ctx.allreduce_min(ctx.rank() as u64);
                     let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![1]).collect();
                     let mut inbox = Vec::new();
-                    ctx.exchange_pooled(&mut out, &mut inbox);
+                    ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
                     ctx.any(ctx.rank() == 0);
                     ctx.assert_schedule_uniform();
                 }

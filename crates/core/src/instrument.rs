@@ -4,6 +4,7 @@ use sssp_comm::cost::TimeLedger;
 use sssp_comm::stats::CommStats;
 
 use crate::config::LongPhaseMode;
+use crate::json::{self, Json};
 
 /// What kind of superstep a phase record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,9 +278,9 @@ impl RunStats {
 /// totals plus the per-phase and per-bucket records, with every timing
 /// field (wall clock, simulated ledger) deliberately excluded — so a
 /// simulated and a threaded run of the same configuration produce traces
-/// that compare equal field-for-field. Exported and re-imported through a
-/// small hand-rolled JSON codec ([`RunTrace::to_json`] /
-/// [`RunTrace::from_json`]) consumed by the `trace_diff` tool.
+/// that compare equal field-for-field. Exported and re-imported through the
+/// shared [`crate::json`] codec ([`RunTrace::to_json`] /
+/// [`RunTrace::from_json`]); the `trace_diff` tool consumes the files.
 ///
 /// Collective counts are also excluded: the backends intentionally differ
 /// there (the threaded §III-C decision runs five allreduces where the
@@ -356,326 +357,142 @@ impl RunTrace {
         }
     }
 
-    /// Serialize the trace as JSON: scalars first, then one line per phase
-    /// and per bucket record (the line-oriented layout is what
-    /// [`RunTrace::from_json`] parses).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"trace\": \"sssp-run-trace\",\n");
-        s.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        s.push_str(&format!("  \"ranks\": {},\n", self.ranks));
-        s.push_str(&format!("  \"supersteps\": {},\n", self.supersteps));
-        s.push_str(&format!("  \"local_msgs\": {},\n", self.local_msgs));
-        s.push_str(&format!("  \"remote_msgs\": {},\n", self.remote_msgs));
-        s.push_str(&format!("  \"remote_bytes\": {},\n", self.remote_bytes));
-        s.push_str(&format!("  \"coalesced_msgs\": {},\n", self.coalesced_msgs));
-        s.push_str(&format!(
-            "  \"max_step_send_bytes\": {},\n",
-            self.max_step_send_bytes
-        ));
-        s.push_str(&format!(
-            "  \"max_step_recv_bytes\": {},\n",
-            self.max_step_recv_bytes
-        ));
-        match self.hybrid_switch_at {
-            Some(k) => s.push_str(&format!("  \"hybrid_switch_at\": {k},\n")),
-            None => s.push_str("  \"hybrid_switch_at\": null,\n"),
+    /// The trace as a JSON object. `full` adds what [`RunTrace::diff`]
+    /// ignores: the marker, the backend and any nonzero timings.
+    fn to_value(&self, full: bool) -> Json {
+        let mut doc: Vec<(&str, Json)> = Vec::new();
+        if full {
+            doc.push(("trace", "sssp-run-trace".into()));
+            doc.push(("backend", self.backend.as_str().into()));
         }
-        if !self.timings.is_zero() {
-            s.push_str(&format!("  \"short_ns\": {},\n", self.timings.short_ns));
-            s.push_str(&format!(
-                "  \"long_push_ns\": {},\n",
-                self.timings.long_push_ns
-            ));
-            s.push_str(&format!(
-                "  \"long_pull_ns\": {},\n",
-                self.timings.long_pull_ns
-            ));
-            s.push_str(&format!("  \"bf_ns\": {},\n", self.timings.bf_ns));
+        let hybrid = self.hybrid_switch_at.map_or(Json::Null, Json::from);
+        doc.extend([
+            ("ranks", self.ranks.into()),
+            ("supersteps", self.supersteps.into()),
+            ("local_msgs", self.local_msgs.into()),
+            ("remote_msgs", self.remote_msgs.into()),
+            ("remote_bytes", self.remote_bytes.into()),
+            ("coalesced_msgs", self.coalesced_msgs.into()),
+            ("max_step_send_bytes", self.max_step_send_bytes.into()),
+            ("max_step_recv_bytes", self.max_step_recv_bytes.into()),
+            ("hybrid_switch_at", hybrid),
+        ]);
+        if full && !self.timings.is_zero() {
+            let t = &self.timings;
+            doc.extend([
+                ("short_ns", t.short_ns.into()),
+                ("long_push_ns", t.long_push_ns.into()),
+                ("long_pull_ns", t.long_pull_ns.into()),
+                ("bf_ns", t.bf_ns.into()),
+            ]);
         }
-        s.push_str("  \"phases\": [\n");
-        let phase_lines: Vec<String> = self.phases.iter().map(phase_json).collect();
-        s.push_str(&phase_lines.join(",\n"));
-        if !phase_lines.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"buckets\": [\n");
-        let bucket_lines: Vec<String> = self.buckets.iter().map(bucket_json).collect();
-        s.push_str(&bucket_lines.join(",\n"));
-        if !bucket_lines.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        match &self.tail {
-            Some(t) => s.push_str(&format!("  \"tail\":\n{}\n", bucket_json(t))),
-            None => s.push_str("  \"tail\": null\n"),
-        }
-        s.push_str("}\n");
-        s
+        let phases = self.phases.iter().map(phase_json).collect();
+        let buckets = self.buckets.iter().map(bucket_json).collect();
+        doc.extend([
+            ("phases", Json::Arr(phases)),
+            ("buckets", Json::Arr(buckets)),
+            ("tail", self.tail.as_ref().map_or(Json::Null, bucket_json)),
+        ]);
+        Json::object(doc)
     }
 
-    /// Parse a trace produced by [`RunTrace::to_json`]. This is a codec
-    /// for our own line-oriented output, not a general JSON parser.
+    /// Serialize the trace as a JSON document: the `"trace":
+    /// "sssp-run-trace"` marker and scalars first, then the phase, bucket
+    /// and tail records.
+    pub fn to_json(&self) -> String {
+        self.to_value(true).render()
+    }
+
+    /// Parse a trace written by [`RunTrace::to_json`], in any JSON layout.
     pub fn from_json(text: &str) -> Result<RunTrace, String> {
-        if !text.contains("\"trace\": \"sssp-run-trace\"") {
+        let t = json::parse(text)?;
+        if t.str_at("trace") != Ok("sssp-run-trace") {
             return Err("not an sssp run trace".to_string());
         }
-        // Top-level scalars live strictly before the "phases" array, so
-        // key lookups cannot collide with the per-record keys below it.
-        let head_end = text
-            .find("\"phases\"")
-            .ok_or_else(|| "missing \"phases\" array".to_string())?;
-        let head = &text[..head_end];
-        let hybrid = {
-            let raw = raw_value(head, "hybrid_switch_at")?;
-            if raw == "null" {
-                None
-            } else {
-                Some(parse_u64(raw, "hybrid_switch_at")?)
-            }
-        };
-        let mut phases = Vec::new();
-        for line in array_lines(text, "\"phases\": [")? {
-            phases.push(parse_phase_line(line)?);
-        }
-        let mut buckets = Vec::new();
-        for line in array_lines(text, "\"buckets\": [")? {
-            buckets.push(parse_bucket_line(line)?);
-        }
-        let tail = {
-            let at = text
-                .find("\"tail\":")
-                .ok_or_else(|| "missing \"tail\" field".to_string())?;
-            let rest = text["\"tail\":".len() + at..].trim_start();
-            if rest.starts_with("null") {
-                None
-            } else {
-                let end = rest
-                    .find('}')
-                    .ok_or_else(|| "unterminated tail record".to_string())?;
-                Some(parse_bucket_line(&rest[..=end])?)
-            }
-        };
-        let timings = PhaseTimings {
-            short_ns: num_value_or_zero(head, "short_ns")?,
-            long_push_ns: num_value_or_zero(head, "long_push_ns")?,
-            long_pull_ns: num_value_or_zero(head, "long_pull_ns")?,
-            bf_ns: num_value_or_zero(head, "bf_ns")?,
-        };
+        let n = |key: &str| t.uint_at(key);
+        // Timings are written only when nonzero.
+        let ns = |key: &str| t.get(key).map_or(Ok(0), |_| n(key));
         Ok(RunTrace {
-            backend: str_value(head, "backend")?.to_string(),
-            ranks: parse_u64(raw_value(head, "ranks")?, "ranks")? as usize,
-            supersteps: num_value(head, "supersteps")?,
-            local_msgs: num_value(head, "local_msgs")?,
-            remote_msgs: num_value(head, "remote_msgs")?,
-            remote_bytes: num_value(head, "remote_bytes")?,
-            coalesced_msgs: num_value(head, "coalesced_msgs")?,
-            max_step_send_bytes: num_value(head, "max_step_send_bytes")?,
-            max_step_recv_bytes: num_value(head, "max_step_recv_bytes")?,
-            hybrid_switch_at: hybrid,
-            timings,
-            phases,
-            buckets,
-            tail,
+            backend: t.str_at("backend")?.to_string(),
+            ranks: t.uint_at("ranks")?,
+            supersteps: n("supersteps")?,
+            local_msgs: n("local_msgs")?,
+            remote_msgs: n("remote_msgs")?,
+            remote_bytes: n("remote_bytes")?,
+            coalesced_msgs: n("coalesced_msgs")?,
+            max_step_send_bytes: n("max_step_send_bytes")?,
+            max_step_recv_bytes: n("max_step_recv_bytes")?,
+            hybrid_switch_at: match t.opt_at("hybrid_switch_at")? {
+                Some(_) => Some(n("hybrid_switch_at")?),
+                None => None,
+            },
+            timings: PhaseTimings {
+                short_ns: ns("short_ns")?,
+                long_push_ns: ns("long_push_ns")?,
+                long_pull_ns: ns("long_pull_ns")?,
+                bf_ns: ns("bf_ns")?,
+            },
+            phases: records(&t, "phases", phase_from_json)?,
+            buckets: records(&t, "buckets", bucket_from_json)?,
+            tail: match t.opt_at("tail")? {
+                Some(rec) => Some(bucket_from_json(rec).map_err(|e| format!("tail: {e}"))?),
+                None => None,
+            },
         })
     }
 
     /// Compare two traces field-for-field, ignoring `backend` and the
     /// wall-clock `timings` (timing is exactly what may differ between
-    /// backends and runs). Returns one
-    /// human-readable line per mismatch; an empty vector means the traces
-    /// agree. This is the equality the differential tests and the
-    /// `trace_diff` tool gate on.
+    /// backends and runs). Returns one human-readable line per mismatch,
+    /// named by its JSON path (`buckets[3].settled: 10 vs 11`); an empty
+    /// vector means the traces agree. This is the equality the
+    /// differential tests and the `trace_diff` tool gate on.
     pub fn diff(&self, other: &RunTrace) -> Vec<String> {
         let mut out = Vec::new();
-        if self.ranks != other.ranks {
-            out.push(format!("ranks: {} vs {}", self.ranks, other.ranks));
-        }
-        let scalars = [
-            ("supersteps", self.supersteps, other.supersteps),
-            ("local_msgs", self.local_msgs, other.local_msgs),
-            ("remote_msgs", self.remote_msgs, other.remote_msgs),
-            ("remote_bytes", self.remote_bytes, other.remote_bytes),
-            ("coalesced_msgs", self.coalesced_msgs, other.coalesced_msgs),
-            (
-                "max_step_send_bytes",
-                self.max_step_send_bytes,
-                other.max_step_send_bytes,
-            ),
-            (
-                "max_step_recv_bytes",
-                self.max_step_recv_bytes,
-                other.max_step_recv_bytes,
-            ),
-        ];
-        for (name, a, b) in scalars {
-            if a != b {
-                out.push(format!("{name}: {a} vs {b}"));
-            }
-        }
-        if self.hybrid_switch_at != other.hybrid_switch_at {
-            out.push(format!(
-                "hybrid_switch_at: {:?} vs {:?}",
-                self.hybrid_switch_at, other.hybrid_switch_at
-            ));
-        }
-        if self.phases.len() != other.phases.len() {
-            out.push(format!(
-                "phases.len: {} vs {}",
-                self.phases.len(),
-                other.phases.len()
-            ));
-        } else {
-            for (i, (a, b)) in self.phases.iter().zip(&other.phases).enumerate() {
-                if a != b {
-                    out.push(format!("phases[{i}]: {a:?} vs {b:?}"));
-                }
-            }
-        }
-        if self.buckets.len() != other.buckets.len() {
-            out.push(format!(
-                "buckets.len: {} vs {}",
-                self.buckets.len(),
-                other.buckets.len()
-            ));
-        } else {
-            for (i, (a, b)) in self.buckets.iter().zip(&other.buckets).enumerate() {
-                diff_bucket(&format!("buckets[{i}]"), a, b, &mut out);
-            }
-        }
-        match (&self.tail, &other.tail) {
-            (Some(a), Some(b)) => diff_bucket("tail", a, b, &mut out),
-            (None, None) => {}
-            (a, b) => out.push(format!("tail presence: {} vs {}", a.is_some(), b.is_some())),
-        }
+        json::diff("", &self.to_value(false), &other.to_value(false), &mut out);
         out
     }
 }
 
-fn phase_json(p: &PhaseRecord) -> String {
-    format!(
-        "    {{\"bucket\": {}, \"kind\": \"{:?}\", \"relaxations\": {}, \"remote_msgs\": {}}}",
-        p.bucket, p.kind, p.relaxations, p.remote_msgs
-    )
+fn phase_json(p: &PhaseRecord) -> Json {
+    Json::object([
+        ("bucket", p.bucket.into()),
+        ("kind", Json::Str(format!("{:?}", p.kind))),
+        ("relaxations", p.relaxations.into()),
+        ("remote_msgs", p.remote_msgs.into()),
+    ])
 }
 
-fn bucket_json(b: &BucketRecord) -> String {
-    format!(
-        "    {{\"bucket\": {}, \"mode\": \"{:?}\", \"settled\": {}, \"est_push\": {}, \
-         \"est_pull\": {}, \"self_edges\": {}, \"backward_edges\": {}, \"forward_edges\": {}, \
-         \"requests\": {}, \"responses\": {}, \"supersteps\": {}, \"local_msgs\": {}, \
-         \"remote_msgs\": {}, \"coalesced_msgs\": {}}}",
-        b.bucket,
-        b.mode,
-        b.settled,
-        b.est_push,
-        b.est_pull,
-        b.self_edges,
-        b.backward_edges,
-        b.forward_edges,
-        b.requests,
-        b.responses,
-        b.supersteps,
-        b.local_msgs,
-        b.remote_msgs,
-        b.coalesced_msgs
-    )
+fn bucket_json(b: &BucketRecord) -> Json {
+    Json::object([
+        ("bucket", b.bucket.into()),
+        ("mode", Json::Str(format!("{:?}", b.mode))),
+        ("settled", b.settled.into()),
+        ("est_push", b.est_push.into()),
+        ("est_pull", b.est_pull.into()),
+        ("self_edges", b.self_edges.into()),
+        ("backward_edges", b.backward_edges.into()),
+        ("forward_edges", b.forward_edges.into()),
+        ("requests", b.requests.into()),
+        ("responses", b.responses.into()),
+        ("supersteps", b.supersteps.into()),
+        ("local_msgs", b.local_msgs.into()),
+        ("remote_msgs", b.remote_msgs.into()),
+        ("coalesced_msgs", b.coalesced_msgs.into()),
+    ])
 }
 
-/// Per-field comparison of two bucket records with `prefix`-qualified
-/// mismatch messages (so `trace_diff` output names the exact counter).
-fn diff_bucket(prefix: &str, a: &BucketRecord, b: &BucketRecord, out: &mut Vec<String>) {
-    let pairs: [(&str, u64, u64); 12] = [
-        ("bucket", a.bucket, b.bucket),
-        ("settled", a.settled, b.settled),
-        ("est_push", a.est_push, b.est_push),
-        ("est_pull", a.est_pull, b.est_pull),
-        ("self_edges", a.self_edges, b.self_edges),
-        ("backward_edges", a.backward_edges, b.backward_edges),
-        ("forward_edges", a.forward_edges, b.forward_edges),
-        ("requests", a.requests, b.requests),
-        ("responses", a.responses, b.responses),
-        ("supersteps", a.supersteps, b.supersteps),
-        ("local_msgs", a.local_msgs, b.local_msgs),
-        ("coalesced_msgs", a.coalesced_msgs, b.coalesced_msgs),
-    ];
-    if a.mode != b.mode {
-        out.push(format!("{prefix}.mode: {:?} vs {:?}", a.mode, b.mode));
-    }
-    if a.remote_msgs != b.remote_msgs {
-        out.push(format!(
-            "{prefix}.remote_msgs: {} vs {}",
-            a.remote_msgs, b.remote_msgs
-        ));
-    }
-    for (name, x, y) in pairs {
-        if x != y {
-            out.push(format!("{prefix}.{name}: {x} vs {y}"));
-        }
-    }
+/// Every record of the array `key`, each read by `f`; errors name the
+/// record's index.
+fn records<T>(t: &Json, key: &str, f: fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    let items = t.array_at(key)?.iter().enumerate();
+    items
+        .map(|(i, v)| f(v).map_err(|e| format!("{key}[{i}]: {e}")))
+        .collect()
 }
 
-// -- hand-rolled parsing helpers (for our own line-oriented output) --------
-
-fn raw_value<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let at = text
-        .find(&pat)
-        .ok_or_else(|| format!("missing \"{key}\""))?;
-    let rest = text[at + pat.len()..].trim_start();
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
-}
-
-fn parse_u64(raw: &str, key: &str) -> Result<u64, String> {
-    raw.parse::<u64>()
-        .map_err(|_| format!("\"{key}\": expected a number, got {raw:?}"))
-}
-
-fn num_value(text: &str, key: &str) -> Result<u64, String> {
-    parse_u64(raw_value(text, key)?, key)
-}
-
-/// Like [`num_value`], but an absent key parses as 0 — used for the
-/// timing fields, which [`RunTrace::to_json`] omits when all-zero.
-fn num_value_or_zero(text: &str, key: &str) -> Result<u64, String> {
-    match raw_value(text, key) {
-        Ok(raw) => parse_u64(raw, key),
-        Err(_) => Ok(0),
-    }
-}
-
-fn str_value<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let raw = raw_value(text, key)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("\"{key}\": expected a string, got {raw:?}"))
-}
-
-/// The record lines of the array opened by `opener` (each record occupies
-/// exactly one line in our output; the closing `]` sits on its own line).
-fn array_lines<'a>(text: &'a str, opener: &str) -> Result<Vec<&'a str>, String> {
-    let at = text
-        .find(opener)
-        .ok_or_else(|| format!("missing {opener}"))?;
-    let body = &text[at + opener.len()..];
-    let mut lines = Vec::new();
-    for line in body.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if t.is_empty() {
-            continue;
-        }
-        if t == "]" {
-            return Ok(lines);
-        }
-        lines.push(line);
-    }
-    Err(format!("unterminated array {opener}"))
-}
-
-fn parse_phase_line(line: &str) -> Result<PhaseRecord, String> {
-    let kind = match str_value(line, "kind")? {
+fn phase_from_json(v: &Json) -> Result<PhaseRecord, String> {
+    let kind = match v.str_at("kind")? {
         "Short" => PhaseKind::Short,
         "LongPush" => PhaseKind::LongPush,
         "LongPull" => PhaseKind::LongPull,
@@ -683,34 +500,35 @@ fn parse_phase_line(line: &str) -> Result<PhaseRecord, String> {
         other => return Err(format!("unknown phase kind {other:?}")),
     };
     Ok(PhaseRecord {
-        bucket: num_value(line, "bucket")?,
+        bucket: v.uint_at("bucket")?,
         kind,
-        relaxations: num_value(line, "relaxations")?,
-        remote_msgs: num_value(line, "remote_msgs")?,
+        relaxations: v.uint_at("relaxations")?,
+        remote_msgs: v.uint_at("remote_msgs")?,
     })
 }
 
-fn parse_bucket_line(line: &str) -> Result<BucketRecord, String> {
-    let mode = match str_value(line, "mode")? {
+fn bucket_from_json(v: &Json) -> Result<BucketRecord, String> {
+    let mode = match v.str_at("mode")? {
         "Push" => LongPhaseMode::Push,
         "Pull" => LongPhaseMode::Pull,
         other => return Err(format!("unknown long-phase mode {other:?}")),
     };
+    let n = |key: &str| v.uint_at(key);
     Ok(BucketRecord {
-        bucket: num_value(line, "bucket")?,
-        settled: num_value(line, "settled")?,
+        bucket: n("bucket")?,
+        settled: n("settled")?,
         mode,
-        est_push: num_value(line, "est_push")?,
-        est_pull: num_value(line, "est_pull")?,
-        self_edges: num_value(line, "self_edges")?,
-        backward_edges: num_value(line, "backward_edges")?,
-        forward_edges: num_value(line, "forward_edges")?,
-        requests: num_value(line, "requests")?,
-        responses: num_value(line, "responses")?,
-        supersteps: num_value(line, "supersteps")?,
-        local_msgs: num_value(line, "local_msgs")?,
-        remote_msgs: num_value(line, "remote_msgs")?,
-        coalesced_msgs: num_value(line, "coalesced_msgs")?,
+        est_push: n("est_push")?,
+        est_pull: n("est_pull")?,
+        self_edges: n("self_edges")?,
+        backward_edges: n("backward_edges")?,
+        forward_edges: n("forward_edges")?,
+        requests: n("requests")?,
+        responses: n("responses")?,
+        supersteps: n("supersteps")?,
+        local_msgs: n("local_msgs")?,
+        remote_msgs: n("remote_msgs")?,
+        coalesced_msgs: n("coalesced_msgs")?,
     })
 }
 
@@ -989,5 +807,62 @@ mod tests {
         let t = sample_trace().to_json();
         let broken = t.replace("\"supersteps\": 12", "\"supersteps\": twelve");
         assert!(RunTrace::from_json(&broken).is_err());
+        let overflow = t.replace("\"supersteps\": 12", "\"supersteps\": 18446744073709551616");
+        let err = RunTrace::from_json(&overflow).expect_err("above u64::MAX");
+        assert!(err.starts_with("supersteps: "), "{err}");
+        let bad_record = t.replace("\"kind\": \"Short\"", "\"kind\": 1");
+        let err = RunTrace::from_json(&bad_record).expect_err("mistyped kind");
+        assert!(err.starts_with("phases[0]: kind: "), "{err}");
+    }
+
+    #[test]
+    fn traces_parse_regardless_of_layout() {
+        let t = sample_trace();
+        let compact: String = t.to_json().split_whitespace().collect();
+        let one_key_per_line = compact.replace(',', ",\n").replace('{', "{\n");
+        assert_eq!(RunTrace::from_json(&compact), Ok(t.clone()));
+        assert_eq!(RunTrace::from_json(&one_key_per_line), Ok(t));
+    }
+
+    /// [`sample_trace`] with timings, as the line-oriented writer that
+    /// preceded the shared JSON codec rendered it.
+    const LEGACY_TRACE: &str = r#"{
+  "trace": "sssp-run-trace",
+  "backend": "simulated",
+  "ranks": 4,
+  "supersteps": 12,
+  "local_msgs": 30,
+  "remote_msgs": 70,
+  "remote_bytes": 1120,
+  "coalesced_msgs": 8,
+  "max_step_send_bytes": 96,
+  "max_step_recv_bytes": 80,
+  "hybrid_switch_at": 3,
+  "short_ns": 120,
+  "long_push_ns": 0,
+  "long_pull_ns": 44,
+  "bf_ns": 7,
+  "phases": [
+    {"bucket": 0, "kind": "Short", "relaxations": 5, "remote_msgs": 3},
+    {"bucket": 18446744073709551615, "kind": "BellmanFord", "relaxations": 9, "remote_msgs": 7}
+  ],
+  "buckets": [
+    {"bucket": 2, "mode": "Pull", "settled": 10, "est_push": 100, "est_pull": 40, "self_edges": 0, "backward_edges": 0, "forward_edges": 0, "requests": 20, "responses": 15, "supersteps": 4, "local_msgs": 9, "remote_msgs": 31, "coalesced_msgs": 6}
+  ],
+  "tail":
+    {"bucket": 18446744073709551615, "mode": "Push", "settled": 10, "est_push": 100, "est_pull": 40, "self_edges": 0, "backward_edges": 0, "forward_edges": 0, "requests": 20, "responses": 15, "supersteps": 4, "local_msgs": 9, "remote_msgs": 31, "coalesced_msgs": 6}
+}
+"#;
+
+    #[test]
+    fn legacy_trace_files_still_parse() {
+        let mut t = sample_trace();
+        t.timings = PhaseTimings {
+            short_ns: 120,
+            long_push_ns: 0,
+            long_pull_ns: 44,
+            bf_ns: 7,
+        };
+        assert_eq!(RunTrace::from_json(LEGACY_TRACE), Ok(t));
     }
 }

@@ -53,6 +53,8 @@ pub mod crauser;
 pub mod engine;
 /// Per-run instrumentation: phase counts, traffic, simulated time.
 pub mod instrument;
+/// The one JSON codec (run traces and the benchmark baseline document).
+pub mod json;
 /// Distributed PageRank (exercises the same exchange substrate).
 pub mod pagerank;
 /// Pluggable stepping policies (Δ-, ρ- and radius stepping).

@@ -20,7 +20,7 @@ fn sanctioned_rank_body(ctx: &mut sssp_comm::threaded::RankCtx<u64>) -> u64 {
     let k = ctx.allreduce_min(7);
     let mut out = vec![Vec::new(); ctx.num_ranks()];
     let mut inbox = Vec::new();
-    ctx.exchange_pooled(&mut out, &mut inbox);
+    ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
     ctx.trim_spares();
     k + ctx.allreduce_sum(inbox.len() as u64)
 }

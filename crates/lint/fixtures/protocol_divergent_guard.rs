@@ -8,7 +8,7 @@ fn divergent_reduce(ctx: &mut RankCtx, inbox: &[u64]) {
     }
     let flag = !inbox.is_empty();
     while flag {
-        ctx.exchange_pooled(out, inbox);
+        ctx.exchange_pooled_counted(out, inbox, 0, None);
     }
 }
 

@@ -323,7 +323,7 @@ const REDUCE_IDENTS: &[&str] = &[
 ];
 
 /// Idents that terminate the walk as an [`Op::Exchange`] in method position.
-const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled", "exchange_pooled_counted"];
+const EXCHANGE_IDENTS: &[&str] = &["exchange", "exchange_pooled_counted"];
 
 /// Classify a call token as a terminal collective, if it is one. The comm
 /// primitives are the protocol alphabet; the walker never descends into
@@ -1251,7 +1251,7 @@ fn f(ctx: &mut RankCtx) {
         ctx.allreduce_max(total);
     }
     while ctx.any(!st.active.is_empty()) {
-        ctx.exchange_pooled(out, inbox);
+        ctx.exchange_pooled_counted(out, inbox, 0, None);
     }
 }
 ";
