@@ -15,8 +15,6 @@
 //! backends can fingerprint through different internal plumbing while
 //! still exposing per-kind divergence.
 
-/// Generic reduction (custom combiner).
-pub const FP_REDUCE: u64 = 0x11;
 /// Min-reduction.
 pub const FP_REDUCE_MIN: u64 = 0x12;
 /// Max-reduction.

@@ -1,37 +1,27 @@
-//! A real concurrent message-passing backend.
+//! The real-thread transport: one OS thread per rank, exchanging messages
+//! through channels, with no shared mutable state beyond the collective
+//! rendezvous.
 //!
-//! The main runtime simulates ranks inside one address space for
-//! determinism and accounting. This module provides the complementary
-//! proof: the same bulk-synchronous programs run unchanged on *actual*
-//! OS threads exchanging messages through channels, one thread per rank,
-//! with no shared mutable state beyond the collective rendezvous. Kernels
-//! ported to [`RankCtx`] (see `sssp-core`'s threaded variants) are tested
-//! to produce bit-identical results to their simulated counterparts —
-//! evidence that the simulator's semantics match a real distributed
-//! execution.
+//! [`RankCtx`] implements [`Transport`] for a one-rank block, so the SPMD
+//! epoch loop in `sssp-core` (`engine/epoch.rs`) runs unchanged on actual
+//! threads and on the simulator's [`crate::transport::SimWorld`]; the
+//! differential tests pin the two bit-identical — evidence that the
+//! simulator's semantics match a real distributed execution.
 //!
 //! Determinism under true concurrency comes from the same rule real MPI
 //! programs use: inboxes are ordered by source rank, never by arrival
 //! time.
 
-use std::cell::Cell;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 
 use crate::fingerprint::{
-    fp_mix, FP_EXCHANGE, FP_REDUCE, FP_REDUCE_ANY, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM,
-    FP_WINDOW,
+    fp_mix, FP_EXCHANGE, FP_REDUCE_ANY, FP_REDUCE_MAX, FP_REDUCE_MIN, FP_REDUCE_SUM, FP_WINDOW,
 };
 use crate::lockorder;
 use crate::packet::PacketConfig;
 use crate::transport::{wire_bytes, ExchangeCounts, Post, Transport};
 use crate::Rank;
-
-/// Smallest buffer capacity [`RankCtx::trim_spares`] will ever release. A
-/// quiet epoch (empty buckets, pull-only phases) observes a zero high-water
-/// mark; without a floor that computed `limit = 0` and dumped the *entire*
-/// spare pool, forcing every lane to reallocate on the next busy epoch.
-pub const SPARE_CAPACITY_FLOOR: usize = 64;
 
 /// Per-rank context handed to the rank's thread. `M` is the message type
 /// of this world.
@@ -44,27 +34,11 @@ pub struct RankCtx<M> {
     barrier: Arc<Barrier>,
     /// Rendezvous buffer for collectives (one slot per rank).
     slots: Arc<Mutex<Vec<Option<u64>>>>,
-    /// Recycled transport buffers for [`RankCtx::exchange_pooled_counted`]: the `p`
-    /// batches drained at superstep `s` become the send buffers of `s + 1`,
-    /// so the pool never holds more than `p` vectors.
-    spare: Vec<Vec<M>>,
-    /// Reusable receive staging area (batches sorted by source rank).
-    batches: Vec<(Rank, Vec<M>)>,
-    /// Largest batch moved through [`RankCtx::exchange_pooled_counted`] since the
-    /// last [`RankCtx::trim_spares`] — the spare pool's high-water mark.
-    watermark: usize,
-    /// Largest batch moved through [`RankCtx::exchange_pooled_counted`] since the
-    /// last [`RankCtx::finish_query`] — the *query*-scoped high-water mark.
-    /// Unlike `watermark` it survives per-epoch trims, so the end-of-query
-    /// trim reflects the whole query's traffic, not just its last epoch.
-    query_watermark: usize,
     /// Rolling collective-schedule fingerprint (see [`crate::fingerprint`]).
-    /// `Cell` because several collectives take `&self`; the value is strictly
-    /// rank-private.
-    fp: Cell<u64>,
-    /// Epoch tag mixed into the fingerprint; advanced by the kernel through
-    /// [`RankCtx::set_epoch`] at bucket boundaries.
-    epoch: Cell<u64>,
+    fp: u64,
+    /// Epoch tag mixed into the fingerprint; advanced by the loop through
+    /// [`Transport::set_epoch`] at bucket boundaries.
+    epoch: u64,
     /// Runtime twin of the static lock-order model: records this thread's
     /// actual acquisition order and checks it against
     /// [`lockorder::STATIC_EDGES`] when the context is dropped.
@@ -78,29 +52,15 @@ impl<M: Send> RankCtx<M> {
         self.rank
     }
 
-    #[inline]
-    /// Total number of ranks in the run.
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
     /// Fold one collective of `kind` into this rank's schedule fingerprint.
     #[inline]
-    fn note_collective(&self, kind: u64) {
-        self.fp.set(fp_mix(self.fp.get(), kind, self.epoch.get()));
-    }
-
-    /// Set the epoch tag mixed into subsequent fingerprint updates. Kernels
-    /// call this at bucket boundaries so a skipped epoch shows up as a
-    /// fingerprint divergence even when the collective kinds happen to line
-    /// up.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.set(epoch);
+    fn note_collective(&mut self, kind: u64) {
+        self.fp = fp_mix(self.fp, kind, self.epoch);
     }
 
     /// This rank's rolling collective-schedule fingerprint.
     pub fn schedule_fingerprint(&self) -> u64 {
-        self.fp.get()
+        self.fp
     }
 
     /// Debug-build cross-rank check that every rank has executed the same
@@ -111,15 +71,13 @@ impl<M: Send> RankCtx<M> {
     pub fn assert_schedule_uniform(&self) {
         #[cfg(debug_assertions)]
         {
-            let fp = self.fp.get();
+            let fp = self.fp;
             let lo = self.allreduce_inner(fp, |vals| vals.iter().copied().min().unwrap_or(0));
             let hi = self.allreduce_inner(fp, |vals| vals.iter().copied().max().unwrap_or(0));
             assert_eq!(
-                lo,
-                hi,
+                lo, hi,
                 "collective schedule diverged across ranks (rank {} fp {fp:#018x}, epoch {})",
-                self.rank,
-                self.epoch.get()
+                self.rank, self.epoch
             );
         }
     }
@@ -127,8 +85,8 @@ impl<M: Send> RankCtx<M> {
     /// Test hook: xor `salt` into this rank's fingerprint so differential
     /// tests can prove [`RankCtx::assert_schedule_uniform`] actually fires.
     #[cfg(debug_assertions)]
-    pub fn perturb_fingerprint(&self, salt: u64) {
-        self.fp.set(self.fp.get() ^ salt);
+    pub fn perturb_fingerprint(&mut self, salt: u64) {
+        self.fp ^= salt;
     }
 
     /// Test hook: seed a held→acquired pair into the runtime lock-order
@@ -154,12 +112,15 @@ impl<M: Send> RankCtx<M> {
         self.lock_rec.observed_locks()
     }
 
-    /// Pooled bulk-synchronous exchange: drains `out[dst]` into recycled
-    /// transport buffers, delivers the concatenated batches (source-rank
-    /// order) into `inbox`, and keeps every
-    /// emptied buffer for the next superstep. `out` lanes are left empty
-    /// with capacity intact, so after a warm-up superstep the steady state
-    /// allocates nothing on either side of the channel.
+    /// Bulk-synchronous exchange of this rank's outbox lanes: each lane
+    /// `out[dst]` itself travels to `dst` through the channel, and the
+    /// batch received from `src` takes the place of `out[src]`. The lanes
+    /// are then appended to `inbox` in source-rank order — the same
+    /// source-order transpose [`crate::transport::SimWorld`] performs in
+    /// memory — which leaves every lane empty with its capacity intact.
+    /// The lanes are the only exchange buffers, so after a warm-up
+    /// superstep the steady state allocates nothing, and the caller's
+    /// pool bound on its lanes governs every buffer that crosses a channel.
     ///
     /// Returns per-rank transport accounting: how many messages this rank
     /// kept local vs. put on the wire, and the framed byte volume it sent
@@ -176,116 +137,43 @@ impl<M: Send> RankCtx<M> {
         self.note_collective(FP_EXCHANGE);
         let wire = |count: u64| wire_bytes(count, msg_bytes, packet);
         let mut counts = ExchangeCounts::default();
-        for (dst, msgs) in out.iter_mut().enumerate() {
-            self.watermark = self.watermark.max(msgs.len());
-            self.query_watermark = self.query_watermark.max(msgs.len());
-            let k = msgs.len() as u64;
+        for (dst, lane) in out.iter_mut().enumerate() {
+            let k = lane.len() as u64;
             if dst == self.rank {
                 counts.sent_local += k;
             } else {
                 counts.sent_remote += k;
                 counts.sent_remote_bytes += wire(k);
             }
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.append(msgs);
             // A peer disappearing mid-superstep is unrecoverable by design
             // (SPMD contract), hence the allowed panic below.
             self.senders[dst]
-                .send((self.rank, buf))
+                .send((self.rank, std::mem::take(lane)))
                 .expect("peer hung up"); // sssp-lint: allow(no-panic-hot-path): SPMD contract
         }
-        while self.batches.len() < self.p {
+        // The closing barrier of the previous exchange keeps every rank
+        // from sending ahead, so these are exactly one batch per source.
+        for _ in 0..self.p {
             // sssp-lint: allow(no-panic-hot-path): same SPMD contract as above.
-            let batch = self.inbox.recv().expect("peer hung up");
-            self.batches.push(batch);
-        }
-        self.batches.sort_by_key(|&(src, _)| src);
-        inbox.clear();
-        for (src, mut b) in self.batches.drain(..) {
-            self.watermark = self.watermark.max(b.len());
-            self.query_watermark = self.query_watermark.max(b.len());
+            let (src, batch) = self.inbox.recv().expect("peer hung up");
             if src != self.rank {
-                counts.recv_remote_bytes += wire(b.len() as u64);
+                counts.recv_remote_bytes += wire(batch.len() as u64);
             }
-            inbox.append(&mut b);
-            self.spare.push(b);
+            out[src] = batch;
+        }
+        inbox.clear();
+        for lane in out.iter_mut() {
+            inbox.append(lane);
         }
         self.barrier.wait();
         counts
     }
 
-    /// Release spare transport buffers whose capacity exceeds 4× the
-    /// high-water mark observed since the previous call (but never below
-    /// [`SPARE_CAPACITY_FLOOR`], so a quiet epoch keeps its warm pool),
-    /// then reset the mark. Purely rank-local (no rendezvous): each rank
-    /// bounds its own pool at epoch boundaries so one outsized superstep
-    /// cannot pin its peak allocation for the rest of the run.
-    ///
-    /// Returns the number of buffers released.
-    pub fn trim_spares(&mut self) -> usize {
-        let limit = self.watermark.saturating_mul(4).max(SPARE_CAPACITY_FLOOR);
-        let before = self.spare.len();
-        self.spare.retain(|b| b.capacity() <= limit);
-        self.watermark = 0;
-        before - self.spare.len()
-    }
-
-    /// Close out one query's pool accounting: release spare buffers whose
-    /// capacity exceeds 4× the *query* high-water mark (floored at
-    /// [`SPARE_CAPACITY_FLOOR`]), then reset both marks. Under back-to-back
-    /// queries over a resident context this is what keeps a small query
-    /// from inheriting a large query's flood-sized spares forever: the
-    /// per-epoch [`RankCtx::trim_spares`] bound is relative to the *current*
-    /// epoch's traffic, while this bound is relative to the query that just
-    /// ended, so the pool shrinks to each query's own footprint before the
-    /// buffers are handed to the next one.
-    ///
-    /// Returns the number of buffers released.
-    pub fn finish_query(&mut self) -> usize {
-        let limit = self
-            .query_watermark
-            .saturating_mul(4)
-            .max(SPARE_CAPACITY_FLOOR);
-        let before = self.spare.len();
-        self.spare.retain(|b| b.capacity() <= limit);
-        self.watermark = 0;
-        self.query_watermark = 0;
-        before - self.spare.len()
-    }
-
-    /// Seed the transport pool with buffers recycled from a previous run
-    /// on the same rank (cleared, capacity kept). Lets a serving layer keep
-    /// pools warm across queries even though each query spawns fresh rank
-    /// threads.
-    pub fn adopt_spares(&mut self, mut spares: Vec<Vec<M>>) {
-        for b in &mut spares {
-            b.clear();
-        }
-        self.spare.append(&mut spares);
-    }
-
-    /// Take the spare transport buffers out of this context (for example to
-    /// stash them in an engine scratch that outlives the rank thread).
-    pub fn release_spares(&mut self) -> Vec<Vec<M>> {
-        std::mem::take(&mut self.spare)
-    }
-
-    /// Capacity of the largest buffer currently in the spare pool (0 when
-    /// empty). Diagnostic for pool-bound tests and the serving benchmark.
-    pub fn max_spare_capacity(&self) -> usize {
-        self.spare.iter().map(Vec::capacity).max().unwrap_or(0)
-    }
-
-    /// Allreduce over one `u64` contribution per rank.
-    pub fn allreduce<F: Fn(&[u64]) -> u64>(&self, value: u64, combine: F) -> u64 {
-        self.note_collective(FP_REDUCE);
-        self.allreduce_inner(value, combine)
-    }
-
-    /// The rendezvous itself, without the fingerprint update: shared by the
-    /// public collectives (which mix their own kind codes first) and by
-    /// [`RankCtx::assert_schedule_uniform`], whose meta-collectives must not
-    /// perturb the fingerprint they are checking.
+    /// The collective rendezvous: every rank deposits `value`, and every
+    /// rank receives `combine` over all contributions in rank order. It
+    /// does not touch the fingerprint, so the [`Transport`] collectives mix
+    /// their own kind codes first and [`RankCtx::assert_schedule_uniform`]'s
+    /// meta-collectives do not perturb the fingerprint they are checking.
     fn allreduce_inner<F: Fn(&[u64]) -> u64>(&self, value: u64, combine: F) -> u64 {
         {
             let mut slots = self.lock_rec.track(
@@ -326,38 +214,10 @@ impl<M: Send> RankCtx<M> {
         result
     }
 
-    /// Minimum allreduce: every rank receives the smallest contribution.
-    pub fn allreduce_min(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_MIN);
-        self.allreduce_inner(value, |vals| vals.iter().copied().min().unwrap_or(u64::MAX))
-    }
-
-    /// Minimum allreduce of per-rank epoch-window proposals: a min-reduce
-    /// fingerprinted with its own kind, so policies that issue the window
-    /// collective hold schedules distinct from those that do not.
-    pub fn allreduce_min_window(&self, value: u64) -> u64 {
-        self.note_collective(FP_WINDOW);
-        self.allreduce_inner(value, |vals| vals.iter().copied().min().unwrap_or(u64::MAX))
-    }
-
-    /// Maximum allreduce: every rank receives the largest contribution.
-    pub fn allreduce_max(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_MAX);
-        self.allreduce_inner(value, |vals| vals.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Sum allreduce: every rank receives the total of all contributions.
-    pub fn allreduce_sum(&self, value: u64) -> u64 {
-        self.note_collective(FP_REDUCE_SUM);
-        self.allreduce_inner(value, |vals| vals.iter().sum())
-    }
-
-    /// Logical-or allreduce.
-    pub fn any(&self, flag: bool) -> bool {
-        self.note_collective(FP_REDUCE_ANY);
-        self.allreduce_inner(u64::from(flag), |vals| {
-            u64::from(vals.iter().any(|&v| v != 0))
-        }) != 0
+    /// A fingerprinted collective of `kind`.
+    fn reduce<F: Fn(&[u64]) -> u64>(&mut self, kind: u64, value: u64, combine: F) -> u64 {
+        self.note_collective(kind);
+        self.allreduce_inner(value, combine)
     }
 }
 
@@ -374,7 +234,7 @@ impl<M: Send> Transport<M> for RankCtx<M> {
     }
 
     fn set_epoch(&mut self, epoch: u64) {
-        RankCtx::set_epoch(self, epoch);
+        self.epoch = epoch;
     }
 
     fn exchange<S, P>(
@@ -392,29 +252,35 @@ impl<M: Send> Transport<M> for RankCtx<M> {
     }
 
     fn allreduce_min(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_min(self, value)
+        self.reduce(FP_REDUCE_MIN, value, |vals| {
+            vals.iter().copied().min().unwrap_or(u64::MAX)
+        })
     }
 
     fn allreduce_min_window(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_min_window(self, value)
+        self.reduce(FP_WINDOW, value, |vals| {
+            vals.iter().copied().min().unwrap_or(u64::MAX)
+        })
     }
 
     fn allreduce_max(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_max(self, value)
+        self.reduce(FP_REDUCE_MAX, value, |vals| {
+            vals.iter().copied().max().unwrap_or(0)
+        })
     }
 
     fn allreduce_sum(&mut self, value: u64) -> u64 {
-        RankCtx::allreduce_sum(self, value)
+        self.reduce(FP_REDUCE_SUM, value, |vals| vals.iter().sum())
     }
 
     fn any(&mut self, flag: bool) -> bool {
-        RankCtx::any(self, flag)
+        self.reduce(FP_REDUCE_ANY, u64::from(flag), |vals| {
+            u64::from(vals.iter().any(|&v| v != 0))
+        }) != 0
     }
 
-    /// Trim the spare pool against this epoch's high-water mark, then (in
-    /// debug builds) check that every rank folded the same schedule.
+    /// In debug builds, check that every rank folded the same schedule.
     fn end_epoch(&mut self) {
-        self.trim_spares();
         self.assert_schedule_uniform();
     }
 }
@@ -460,12 +326,8 @@ where
             inbox,
             barrier: Arc::clone(&barrier),
             slots: Arc::clone(&slots),
-            spare: Vec::new(),
-            batches: Vec::with_capacity(p),
-            watermark: 0,
-            query_watermark: 0,
-            fp: Cell::new(0),
-            epoch: Cell::new(0),
+            fp: 0,
+            epoch: 0,
             lock_rec: lockorder::Recorder::new(),
         };
         let body = Arc::clone(&body);
@@ -537,21 +399,21 @@ mod tests {
 
     #[test]
     fn allreduce_combines_contributions() {
-        let sums = run_threaded(5, |ctx: RankCtx<()>| {
-            ctx.allreduce(ctx.rank() as u64 + 1, |vals| vals.iter().sum())
+        let sums = run_threaded(5, |mut ctx: RankCtx<()>| {
+            ctx.allreduce_sum(ctx.rank() as u64 + 1)
         });
         assert!(sums.iter().all(|&s| s == 15));
-        let mins = run_threaded(5, |ctx: RankCtx<()>| {
-            ctx.allreduce(10 - ctx.rank() as u64, |vals| *vals.iter().min().unwrap())
+        let mins = run_threaded(5, |mut ctx: RankCtx<()>| {
+            ctx.allreduce_min(10 - ctx.rank() as u64)
         });
         assert!(mins.iter().all(|&m| m == 6));
     }
 
     #[test]
     fn any_detects_single_flag() {
-        let out = run_threaded(4, |ctx: RankCtx<()>| ctx.any(ctx.rank() == 2));
+        let out = run_threaded(4, |mut ctx: RankCtx<()>| ctx.any(ctx.rank() == 2));
         assert!(out.iter().all(|&b| b));
-        let out = run_threaded(4, |ctx: RankCtx<()>| ctx.any(false));
+        let out = run_threaded(4, |mut ctx: RankCtx<()>| ctx.any(false));
         assert!(out.iter().all(|&b| !b));
     }
 
@@ -626,7 +488,7 @@ mod tests {
 
     #[test]
     fn allreduce_wrappers_agree_with_the_generic_form() {
-        let results = run_threaded(4, |ctx: RankCtx<()>| {
+        let results = run_threaded(4, |mut ctx: RankCtx<()>| {
             let v = ctx.rank() as u64 + 3;
             (
                 ctx.allreduce_min(v),
@@ -642,174 +504,42 @@ mod tests {
     }
 
     #[test]
-    fn trim_spares_releases_oversized_pool_buffers() {
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Epoch 1: a flood superstep grows the recycled buffers.
-            for lane in out.iter_mut() {
-                lane.extend(0..5000);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            let flood_trim = ctx.trim_spares();
-            // Epoch 2: steady trickle; the flood-sized spares now exceed
-            // 4× the epoch's high-water mark and must be released.
-            for lane in out.iter_mut() {
-                lane.push(1);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            let steady_trim = ctx.trim_spares();
-            // Later supersteps keep working after the pool was emptied.
-            for lane in out.iter_mut() {
-                lane.push(2);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            (flood_trim, steady_trim, inbox.len())
-        });
-        for (flood_trim, steady_trim, len) in trims {
-            assert_eq!(flood_trim, 0, "peak epoch keeps its pool");
-            assert!(steady_trim > 0, "oversized spares must be released");
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn trim_spares_keeps_pool_through_quiet_epochs() {
-        // Regression: a quiet epoch (no traffic at all) observes a zero
-        // high-water mark. The trim limit used to collapse to 0 and release
-        // every spare buffer, forcing reallocation next epoch.
-        let trims = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Epoch 1: modest traffic seeds the spare pool with small
-            // buffers (capacity well under the floor).
-            for lane in out.iter_mut() {
-                lane.extend(0..8);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            ctx.trim_spares();
-            // Epoch 2: completely quiet — empty lanes, zero watermark.
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            let quiet_trim = ctx.trim_spares();
-            // Epoch 3: traffic resumes; the pool must still be warm.
-            for lane in out.iter_mut() {
-                lane.push(9);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            (quiet_trim, inbox.len())
-        });
-        for (quiet_trim, len) in trims {
-            assert_eq!(quiet_trim, 0, "quiet epoch must keep its warm pool");
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_bounds_the_pool_for_mixed_size_query_sequences() {
-        // Regression for the serving layer: a flood query must not pin its
-        // flood-sized spares into the next (tiny) query. Per-epoch
-        // `trim_spares` cannot catch this — its bound is relative to the
-        // *current* epoch's watermark, and the flood query's own last epoch
-        // legitimately keeps the big buffers. The per-query trim releases
-        // them once the next small query ends.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            // Query 1: flood.
-            for lane in out.iter_mut() {
-                lane.extend(0..5000);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            ctx.trim_spares();
-            ctx.finish_query();
-            let after_flood = ctx.max_spare_capacity();
-            // Query 2: trickle. Epoch trim alone would keep the flood spares
-            // forever (they were within bound at the flood query's end).
-            for lane in out.iter_mut() {
-                lane.push(1);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            ctx.trim_spares();
-            ctx.finish_query();
-            let after_trickle = ctx.max_spare_capacity();
-            // Query 3: pool still works after the release.
-            for lane in out.iter_mut() {
-                lane.push(2);
-            }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            (after_flood, after_trickle, inbox.len())
-        });
-        for (after_flood, after_trickle, len) in caps {
-            assert!(after_flood >= 5000, "flood query keeps its own pool");
-            assert!(
-                after_trickle <= SPARE_CAPACITY_FLOOR,
-                "small query must shed the flood-sized spares \
-                 (max spare capacity {after_trickle})"
-            );
-            assert_eq!(len, 2);
-        }
-    }
-
-    #[test]
-    fn finish_query_uses_the_whole_query_watermark_not_the_last_epoch() {
-        // The query-level mark must survive the per-epoch mark reset: after
-        // a busy epoch plus `trim_spares` (which zeroes the epoch watermark),
-        // `finish_query` still knows the query moved 1000-message batches
-        // and keeps the warm pool instead of collapsing to the floor.
-        let caps = run_threaded(2, |mut ctx: RankCtx<u64>| {
+    fn exchanged_lanes_come_back_warm_and_empty() {
+        // The lanes themselves travel through the channels and come back
+        // as the batches received from each source: after one round of `K`
+        // messages per rank pair every lane is empty with room for `K`,
+        // and the quiet rounds that follow deliver nothing stale and keep
+        // the lanes warm.
+        const K: usize = 300;
+        let results = run_threaded(3, |mut ctx: RankCtx<u64>| {
             let p = ctx.num_ranks();
             let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
             let mut inbox = Vec::new();
             for lane in out.iter_mut() {
-                lane.extend(0..1000);
+                lane.extend(0..K as u64);
             }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            ctx.trim_spares();
-            let released = ctx.finish_query();
-            (released, ctx.max_spare_capacity())
-        });
-        for (released, cap) in caps {
-            assert_eq!(released, 0, "busy epoch is within the query bound");
-            assert!(cap >= 1000, "query-scoped mark must keep the warm pool");
-        }
-    }
-
-    #[test]
-    fn spares_adopted_from_a_previous_run_are_reused_clean() {
-        // First run floods, releases its spares; second run adopts them and
-        // must see only its own messages, with the adopted capacity warm.
-        let spares = run_threaded(2, |mut ctx: RankCtx<u64>| {
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            let mut inbox = Vec::new();
-            for lane in out.iter_mut() {
-                lane.extend(0..256);
+            let mut rounds = Vec::new();
+            for _ in 0..4 {
+                ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
+                let empty = out.iter().all(Vec::is_empty);
+                let warm = out.iter().map(Vec::capacity).min().unwrap_or(0);
+                rounds.push((inbox.len(), empty, warm));
             }
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            ctx.release_spares()
+            rounds
         });
-        let payloads: Vec<Vec<Vec<u64>>> = spares;
-        let results = run_threaded_with(2, payloads, |mut ctx: RankCtx<u64>, sp| {
-            ctx.adopt_spares(sp);
-            let warm = ctx.max_spare_capacity();
-            let p = ctx.num_ranks();
-            let mut out: Vec<Vec<u64>> = (0..p).map(|_| vec![7]).collect();
-            let mut inbox = Vec::new();
-            ctx.exchange_pooled_counted(&mut out, &mut inbox, 0, None);
-            (warm, inbox)
-        });
-        for (warm, inbox) in results {
-            assert!(warm >= 256, "adopted spares keep their capacity");
-            assert_eq!(inbox, vec![7, 7], "adopted buffers must arrive clean");
+        for rounds in results {
+            for (round, &(delivered, empty, warm)) in rounds.iter().enumerate() {
+                let expect = if round == 0 { 3 * K } else { 0 };
+                assert_eq!(delivered, expect, "round {round}: stale or lost messages");
+                assert!(empty, "round {round}: every lane must be drained");
+                assert!(warm >= K, "round {round}: lane capacity {warm} < {K}");
+            }
         }
     }
 
     #[test]
     fn run_threaded_with_moves_one_payload_per_rank() {
-        let out = run_threaded_with(3, vec![10u64, 20, 30], |ctx: RankCtx<u64>, own| {
+        let out = run_threaded_with(3, vec![10u64, 20, 30], |mut ctx: RankCtx<u64>, own| {
             ctx.allreduce_sum(own)
         });
         assert_eq!(out, vec![60, 60, 60]);
@@ -889,11 +619,11 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_schedules() {
-        let a = run_threaded(2, |ctx: RankCtx<u64>| {
+        let a = run_threaded(2, |mut ctx: RankCtx<u64>| {
             ctx.allreduce_min(0);
             ctx.schedule_fingerprint()
         });
-        let b = run_threaded(2, |ctx: RankCtx<u64>| {
+        let b = run_threaded(2, |mut ctx: RankCtx<u64>| {
             ctx.allreduce_max(0);
             ctx.schedule_fingerprint()
         });
@@ -904,7 +634,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "collective schedule diverged")]
     fn corrupted_fingerprint_trips_the_uniformity_assertion() {
-        run_threaded(3, |ctx: RankCtx<u64>| {
+        run_threaded(3, |mut ctx: RankCtx<u64>| {
             ctx.allreduce_sum(1);
             if ctx.rank() == 1 {
                 ctx.perturb_fingerprint(0xDEAD_BEEF);
@@ -917,7 +647,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn lock_order_twin_records_the_collective_mutex_and_no_nesting() {
         for p in [1, 3, 5] {
-            let obs = run_threaded(p, |ctx: RankCtx<u64>| {
+            let obs = run_threaded(p, |mut ctx: RankCtx<u64>| {
                 ctx.allreduce_sum(ctx.rank() as u64);
                 ctx.any(false);
                 (ctx.observed_locks(), ctx.observed_lock_pairs())
@@ -936,7 +666,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock acquisition order")]
     fn seeded_lock_inversion_trips_the_twin_at_the_join() {
-        run_threaded(3, |ctx: RankCtx<u64>| {
+        run_threaded(3, |mut ctx: RankCtx<u64>| {
             ctx.allreduce_sum(1);
             if ctx.rank() == 2 {
                 ctx.perturb_lock_order("slots", "slots");
@@ -948,7 +678,7 @@ mod tests {
     fn single_rank_world() {
         let out = run_threaded(1, |mut ctx: RankCtx<u32>| {
             let inbox = swap(&mut ctx, vec![vec![7, 8]]);
-            (inbox, ctx.allreduce(9, |v| v[0]))
+            (inbox, ctx.allreduce_sum(9))
         });
         assert_eq!(out[0].0, vec![7, 8]);
         assert_eq!(out[0].1, 9);

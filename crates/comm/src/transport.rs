@@ -86,8 +86,9 @@ pub trait Transport<M> {
     fn allreduce_sum(&mut self, value: u64) -> u64;
     /// Logical or across workers.
     fn any(&mut self, flag: bool) -> bool;
-    /// Epoch boundary: a transport may trim its pools and cross-check its
-    /// schedule here. Every worker calls it at the same points.
+    /// Epoch boundary: a transport may cross-check its schedule here (the
+    /// loop itself bounds the lanes). Every worker calls it at the same
+    /// points.
     fn end_epoch(&mut self) {}
 }
 

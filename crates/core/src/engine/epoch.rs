@@ -21,7 +21,6 @@ use std::time::Instant;
 use sssp_comm::cost::{MachineModel, TimeClass};
 use sssp_comm::exchange::{fold_counts, pack_sorted_run, shrink_oversized};
 use sssp_comm::stats::StepStats;
-use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
 use sssp_comm::transport::{ExchangeCounts, Post, Transport};
 use sssp_dist::DistGraph;
 use sssp_graph::{checked_u32, VertexId};
@@ -87,6 +86,10 @@ impl Wire {
     }
 }
 
+/// Smallest high-water mark the pool bound shrinks against: lanes and
+/// inboxes of up to 4× this capacity survive any epoch, however quiet.
+const LANE_FLOOR: usize = 16;
+
 /// One rank's relax traffic over a query, plus the pool high-water marks
 /// of the current epoch and of the whole query.
 #[derive(Debug, Clone, Copy, Default)]
@@ -142,10 +145,10 @@ impl RankSlot {
     }
 
     /// The pool bound: release lanes and inboxes that ballooned past 4×
-    /// the high-water mark `hwm`. The channel spare pool's capacity floor
-    /// keeps a quiet epoch (hwm = 0) from freeing every lane.
+    /// the high-water mark `hwm`, never below [`LANE_FLOOR`], so a quiet
+    /// epoch (hwm = 0) does not free every lane.
     fn shrink(&mut self, hwm: usize) {
-        let floor = hwm.max(SPARE_CAPACITY_FLOOR / 4);
+        let floor = hwm.max(LANE_FLOOR);
         for lane in self.out.iter_mut() {
             shrink_oversized(lane, floor);
         }
@@ -846,5 +849,34 @@ impl<T: Transport<Wire>, R: Recorder> Worker<'_, T, R> {
         }
         self.rec
             .phase_nanos(PhaseKind::BellmanFord, elapsed_ns(start));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sssp_graph::{gen, CsrBuilder};
+
+    #[test]
+    fn quiet_epoch_shrink_keeps_lanes_at_the_floor() {
+        // A quiet epoch has high-water mark 0: the bound must neither free
+        // the warm lanes (the next busy epoch would reallocate them) nor
+        // keep a ballooned one past the floor.
+        let g = CsrBuilder::new().build(&gen::path(8, 1));
+        let dg = DistGraph::build(&g, 2, 1);
+        let mut s = RankSlot::reuse(None, &dg, 0);
+        s.out[0].reserve_exact(4 * LANE_FLOOR);
+        s.out[1].reserve_exact(1000);
+        s.inbox.reserve_exact(1000);
+        s.shrink(0);
+        assert!(s.out[0].capacity() >= 4 * LANE_FLOOR, "warm lane freed");
+        for buf in [&s.out[1], &s.inbox] {
+            assert!(
+                (LANE_FLOOR..=4 * LANE_FLOOR).contains(&buf.capacity()),
+                "ballooned buffer not shrunk to the floor: {}",
+                buf.capacity()
+            );
+        }
+        assert!(s.max_capacity() <= 4 * LANE_FLOOR);
     }
 }

@@ -24,24 +24,18 @@ use super::Query;
 
 /// Resident per-rank engine state a serving layer keeps warm between
 /// queries: each rank's [`crate::state::RankState`] (distances, buckets,
-/// frontier bitsets), its outbox lanes and inboxes, and the channel
-/// transport spares. One scratch belongs to exactly one in-flight query at
-/// a time; handing it to [`run`] runs the query without re-allocating any
-/// of the pooled structures (the state is `reset`, not rebuilt). A scratch
-/// is graph-shape-specific only through per-rank vertex counts: if the
-/// graph changes shape the affected rank states are rebuilt transparently,
-/// but a serving layer should still discard scratches on graph rebuild so
-/// stale pool sizes do not linger.
+/// frontier bitsets), its outbox lanes and its inboxes. The lanes are the
+/// only exchange buffers — they travel through the channels themselves —
+/// so the scratch holds no transport state. One scratch belongs to
+/// exactly one in-flight query at a time; handing it to [`run`] runs the
+/// query without re-allocating any of the pooled structures (the state is
+/// `reset`, not rebuilt). A scratch is graph-shape-specific only through
+/// per-rank vertex counts: if the graph changes shape the affected rank
+/// states are rebuilt transparently, but a serving layer should still
+/// discard scratches on graph rebuild so stale pool sizes do not linger.
 #[derive(Default)]
 pub struct EngineScratch {
-    ranks: Vec<RankScratch>,
-}
-
-/// One rank's share of an [`EngineScratch`].
-#[derive(Default)]
-struct RankScratch {
-    slot: Option<RankSlot>,
-    spares: Vec<Vec<Wire>>,
+    ranks: Vec<Option<RankSlot>>,
 }
 
 impl EngineScratch {
@@ -49,25 +43,20 @@ impl EngineScratch {
     /// is created lazily by the first query that runs on it.
     pub fn new(num_ranks: usize) -> Self {
         EngineScratch {
-            ranks: (0..num_ranks).map(|_| RankScratch::default()).collect(),
+            ranks: (0..num_ranks).map(|_| None).collect(),
         }
     }
 
-    /// Capacity (in messages) of the largest buffer held anywhere in the
-    /// scratch — outbox lanes, inboxes and transport spares across all
-    /// ranks. Diagnostic for the pool-bound regression tests: after a
-    /// query finishes, this is bounded by that query's own high-water mark
-    /// (floored at the warm-pool minimum), not by the largest query ever
-    /// run on the scratch.
+    /// Capacity (in messages) of the largest lane or inbox held anywhere
+    /// in the scratch. Diagnostic for the pool-bound regression tests:
+    /// after a query finishes, this is bounded by that query's own
+    /// high-water mark (floored at the warm-pool minimum), not by the
+    /// largest query ever run on the scratch.
     pub fn max_buffer_capacity(&self) -> usize {
         self.ranks
             .iter()
-            .flat_map(|r| {
-                r.slot
-                    .iter()
-                    .map(RankSlot::max_capacity)
-                    .chain(r.spares.iter().map(Vec::capacity))
-            })
+            .flatten()
+            .map(RankSlot::max_capacity)
             .max()
             .unwrap_or(0)
     }
@@ -112,7 +101,7 @@ impl ThreadedSsspOutput {
 /// Run `query` with one OS thread per rank, reusing the per-rank engine
 /// state and buffer pools held in `scratch` instead of rebuilding them.
 /// The first query on a fresh scratch allocates everything; every later
-/// query resets the state in place and inherits the warmed pools, trimmed
+/// query resets the state in place and inherits the warmed lanes, trimmed
 /// at query end to the finishing query's own high-water mark. Distances
 /// are bit-identical to the simulator's [`super::run`] under every
 /// configuration; only wall-clock behavior (and the absence of the cost
@@ -210,7 +199,7 @@ pub fn threaded_delta_stepping_traced(
 }
 
 /// Shared driver behind the traced, untraced and serving entry points:
-/// spawn one thread per rank, move each rank's [`RankScratch`] into its
+/// spawn one thread per rank, move each rank's parked [`RankSlot`] into its
 /// thread, run [`rank_thread`] with a freshly made recorder, then fold the
 /// per-rank results into the global output and reassemble the scratch
 /// (returning the recorders in rank order for the caller to merge).
@@ -246,39 +235,45 @@ where
         // A scratch sized for a different world is stale wholesale (the
         // serving layer discards scratches on graph rebuild; this makes a
         // mismatched one merely a fresh start, never a wrong answer).
-        scratch.ranks = (0..p).map(|_| RankScratch::default()).collect();
+        *scratch = EngineScratch::new(p);
     }
-    let payloads: Vec<RankScratch> = std::mem::take(&mut scratch.ranks);
+    let payloads = std::mem::take(&mut scratch.ranks);
     let dg_body = Arc::clone(dg);
     let cfg_body = cfg.clone();
     let model_body = *model;
-    let per_rank = run_threaded_with(p, payloads, move |mut ctx: RankCtx<Wire>, rs| {
-        rank_thread(&dg_body, &query, &cfg_body, &model_body, &mut ctx, mk(), rs)
+    let per_rank = run_threaded_with(p, payloads, move |mut ctx: RankCtx<Wire>, parked| {
+        rank_thread(
+            &dg_body,
+            &query,
+            &cfg_body,
+            &model_body,
+            &mut ctx,
+            mk(),
+            parked,
+        )
     });
 
     let mut recorders = Vec::with_capacity(p);
     scratch.ranks.reserve_exact(p);
-    for (end, rec, rs) in per_rank {
-        if let Some(slot) = &rs.slot {
-            for (l, &d) in slot.st.dist.iter().enumerate() {
-                out.distances[dg.part.to_global(slot.st.rank, l) as usize] = d;
-            }
-            out.relax_local_msgs += slot.traffic.relax_local_msgs;
-            out.relax_remote_msgs += slot.traffic.relax_remote_msgs;
-            out.coalesced_msgs += slot.traffic.coalesced_msgs;
+    for (end, rec, slot) in per_rank {
+        for (l, &d) in slot.st.dist.iter().enumerate() {
+            out.distances[dg.part.to_global(slot.st.rank, l) as usize] = d;
         }
+        out.relax_local_msgs += slot.traffic.relax_local_msgs;
+        out.relax_remote_msgs += slot.traffic.relax_remote_msgs;
+        out.coalesced_msgs += slot.traffic.coalesced_msgs;
         out.epochs = out.epochs.max(end.epochs);
         out.timed_out |= end.timed_out;
         recorders.push(rec);
-        scratch.ranks.push(rs);
+        scratch.ranks.push(Some(slot));
     }
     (out, recorders)
 }
 
-/// One rank thread: adopt the scratch's transport spares, run the epoch
-/// loop over a one-rank block (its state reset in place when the scratch
-/// still matches the graph, rebuilt otherwise), then park the slot and the
-/// spares back in the scratch for the next query.
+/// One rank thread: run the epoch loop over a one-rank block (its state
+/// reset in place when the scratch still matches the graph, rebuilt
+/// otherwise) and hand the slot back to be parked in the scratch for the
+/// next query.
 // sssp-lint: panic-root(rank-thread, forwarded): rank panics propagate through
 // the spawning scope's join into the caller, where the serving layer's
 // catch_unwind (or the bench process boundary) absorbs them.
@@ -289,21 +284,15 @@ fn rank_thread<R: Recorder>(
     model: &MachineModel,
     ctx: &mut RankCtx<Wire>,
     mut rec: R,
-    mut rs: RankScratch,
-) -> (LoopEnd, R, RankScratch) {
-    ctx.adopt_spares(std::mem::take(&mut rs.spares));
-    let mut block = [RankSlot::reuse(rs.slot.take(), dg, ctx.rank())];
+    parked: Option<RankSlot>,
+) -> (LoopEnd, R, RankSlot) {
+    let mut block = [RankSlot::reuse(parked, dg, ctx.rank())];
     let end = run_epochs(dg, cfg, model, query, ctx, &mut rec, &mut block);
     // Covers the epochs that exit early (empty-bucket break, the
     // point-to-point cutoff, the deadline and the Bellman-Ford tail).
     ctx.assert_schedule_uniform();
-    // Query-end pool bound for the channel spares, against the whole
-    // query's high-water mark.
-    ctx.finish_query();
-    rs.spares = ctx.release_spares();
     let [slot] = block;
-    rs.slot = Some(slot);
-    (end, rec, rs)
+    (end, rec, slot)
 }
 
 #[cfg(test)]
@@ -312,7 +301,6 @@ mod tests {
     use crate::seq;
     #[cfg(debug_assertions)]
     use sssp_comm::threaded::run_threaded;
-    use sssp_comm::threaded::SPARE_CAPACITY_FLOOR;
     use sssp_graph::{gen, CsrBuilder};
 
     #[test]
@@ -478,8 +466,7 @@ mod tests {
                     let cfg = cfg.clone();
                     move |mut ctx: RankCtx<Wire>| {
                         let query = Query::from_root(0);
-                        let rs = RankScratch::default();
-                        rank_thread(&dg, &query, &cfg, &model, &mut ctx, NoopRecorder, rs);
+                        rank_thread(&dg, &query, &cfg, &model, &mut ctx, NoopRecorder, None);
                         (ctx.observed_locks(), ctx.observed_lock_pairs())
                     }
                 });
@@ -512,8 +499,7 @@ mod tests {
         run_threaded(2, move |mut ctx: RankCtx<Wire>| {
             let query = Query::from_root(0);
             let cfg = SsspConfig::opt(15);
-            let rs = RankScratch::default();
-            rank_thread(&dg, &query, &cfg, &model, &mut ctx, NoopRecorder, rs);
+            rank_thread(&dg, &query, &cfg, &model, &mut ctx, NoopRecorder, None);
             if ctx.rank() == 1 {
                 ctx.perturb_lock_order("slots", "slots");
             }
@@ -654,7 +640,7 @@ mod tests {
         // The satellite-1 regression: a message-heavy query balloons the
         // resident pools; the next (tiny) query must hand the scratch back
         // bounded by its *own* high-water mark, not the predecessor's.
-        // Before per-query accounting, spares trimmed against the last
+        // Before per-query accounting, buffers trimmed against the last
         // quiet epoch's mark survived indefinitely.
         let big = CsrBuilder::new().build(&gen::uniform(4000, 60_000, 30, 21));
         let model = MachineModel::bgq_like();
@@ -684,7 +670,7 @@ mod tests {
         );
         let after_small = scratch.max_buffer_capacity();
         assert!(
-            after_small <= SPARE_CAPACITY_FLOOR.max(after_big / 8),
+            after_small <= 64.max(after_big / 8),
             "small query left oversized pools: {after_small} (big query: {after_big})"
         );
         // The shrink must not break correctness of the next real query.

@@ -375,7 +375,7 @@ fn check_no_shared_state(file: &SourceFile) -> Vec<(usize, String)> {
             (
                 "thread::Builder",
                 false,
-                "outside sssp-comm::threaded: rank threads are spawned only by run_threaded",
+                "outside sssp-comm::threaded: rank threads are spawned only by run_threaded_with",
             ),
             (
                 "Barrier",

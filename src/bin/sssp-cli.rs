@@ -10,6 +10,8 @@
 //!
 //! `run` without a subcommand is the default for backward compatibility.
 
+use std::io::Write as _;
+
 use sssp_mps::core::bfs::run_bfs;
 use sssp_mps::core::config::{IntraBalance, SteppingPolicyKind};
 use sssp_mps::graph::social::social_preset;
@@ -93,6 +95,9 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         }
         i += 1;
     }
+    if args.ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
     Ok(args)
 }
 
@@ -131,8 +136,8 @@ OPTIONS:
     );
 }
 
-fn build_graph(args: &Args) -> Csr {
-    match args.family.as_str() {
+fn build_graph(args: &Args) -> Result<Csr, String> {
+    Ok(match args.family.as_str() {
         "rmat1" | "rmat2" => {
             let params = if args.family == "rmat1" {
                 RmatParams::RMAT1
@@ -151,13 +156,13 @@ fn build_graph(args: &Args) -> Csr {
         }
         name => {
             let gen = social_preset(name, 1024)
-                .unwrap_or_else(|| panic!("unknown family '{name}' (see --help)"));
+                .ok_or_else(|| format!("unknown family '{name}' (see --help)"))?;
             CsrBuilder::new().build(&gen.seed(args.seed).generate())
         }
-    }
+    })
 }
 
-fn config_for(args: &Args) -> SsspConfig {
+fn config_for(args: &Args) -> Result<SsspConfig, String> {
     let cfg = match args.algo.as_str() {
         "dijkstra" => SsspConfig::dijkstra(),
         "bellman-ford" | "bf" => SsspConfig::bellman_ford(),
@@ -166,75 +171,79 @@ fn config_for(args: &Args) -> SsspConfig {
         "prune" => SsspConfig::prune(args.delta),
         "opt" => SsspConfig::opt(args.delta),
         "lb-opt" => SsspConfig::opt(args.delta).with_intra_balance(IntraBalance::Auto),
-        other => panic!("unknown algorithm '{other}' (see --help)"),
+        other => return Err(format!("unknown algorithm '{other}' (see --help)")),
     };
     match args.policy.as_str() {
-        "delta" => cfg,
-        "rho" => cfg.with_policy(SteppingPolicyKind::Rho(args.rho)),
-        "radius" => cfg.with_policy(SteppingPolicyKind::Radius(args.rho)),
-        other => panic!("unknown policy '{other}' (see --help)"),
+        "delta" => Ok(cfg),
+        "rho" => Ok(cfg.with_policy(SteppingPolicyKind::Rho(args.rho))),
+        "radius" => Ok(cfg.with_policy(SteppingPolicyKind::Radius(args.rho))),
+        other => Err(format!("unknown policy '{other}' (see --help)")),
     }
 }
 
-fn load_edge_list(path: &str) -> EdgeList {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-    if path.ends_with(".bin") {
-        let mut reader = std::io::BufReader::new(file);
-        io::read_binary(&mut reader).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+fn load_edge_list(path: &str) -> Result<EdgeList, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = std::io::BufReader::new(file);
+    let el = if path.ends_with(".bin") {
+        io::read_binary(&mut reader)
     } else {
-        io::read_dimacs(std::io::BufReader::new(file), false)
-            .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
-    }
+        io::read_dimacs(reader, false)
+    };
+    el.map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn store_edge_list(path: &str, el: &EdgeList) {
-    let file = std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
+fn store_edge_list(path: &str, el: &EdgeList) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
     if path.ends_with(".bin") {
-        io::write_binary(&mut w, el).expect("write failed");
+        io::write_binary(&mut w, el)
     } else {
-        io::write_dimacs(&mut w, el).expect("write failed");
+        io::write_dimacs(&mut w, el)
     }
+    .and_then(|()| w.flush())
+    .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn source_edge_list(args: &Args) -> EdgeList {
+fn source_edge_list(args: &Args) -> Result<EdgeList, String> {
     match &args.input {
         Some(path) => load_edge_list(path),
         None => {
             // Re-generate via the family options and decompose the CSR back
             // into an edge list for writing.
-            let csr = build_graph(args);
+            let csr = build_graph(args)?;
             let mut el = EdgeList::new(csr.num_vertices());
             for (u, v, w) in csr.undirected_edges() {
                 el.push(u, v, w);
             }
-            el
+            Ok(el)
         }
     }
 }
 
-fn cmd_generate(args: &Args) {
-    let el = source_edge_list(args);
-    let out = args.output.as_deref().expect("generate requires --out");
-    store_edge_list(out, &el);
+fn cmd_generate(args: &Args) -> Result<(), String> {
+    let out = args.output.as_deref().ok_or("generate requires --out")?;
+    let el = source_edge_list(args)?;
+    store_edge_list(out, &el)?;
     println!("wrote {} vertices, {} edges to {out}", el.n, el.len());
+    Ok(())
 }
 
-fn cmd_convert(args: &Args) {
-    let input = args.input.as_deref().expect("convert requires --in");
-    let out = args.output.as_deref().expect("convert requires --out");
-    let el = load_edge_list(input);
-    store_edge_list(out, &el);
+fn cmd_convert(args: &Args) -> Result<(), String> {
+    let input = args.input.as_deref().ok_or("convert requires --in")?;
+    let out = args.output.as_deref().ok_or("convert requires --out")?;
+    let el = load_edge_list(input)?;
+    store_edge_list(out, &el)?;
     println!(
         "converted {input} → {out} ({} vertices, {} edges)",
         el.n,
         el.len()
     );
+    Ok(())
 }
 
-fn cmd_inspect(args: &Args) {
-    let input = args.input.as_deref().expect("inspect requires --in");
-    let el = load_edge_list(input);
+fn cmd_inspect(args: &Args) -> Result<(), String> {
+    let input = args.input.as_deref().ok_or("inspect requires --in")?;
+    let el = load_edge_list(input)?;
     let csr = CsrBuilder::new().build(&el);
     let st = stats::degree_stats(&csr);
     let labels = sssp_mps::graph::components::components_bfs(&csr);
@@ -247,6 +256,7 @@ fn cmd_inspect(args: &Args) {
     println!("isolated vertices : {}", st.isolated);
     println!("top-1% edge share : {:.2}", st.top1pct_edge_share);
     println!("components        : {ncomp} (largest {largest})");
+    Ok(())
 }
 
 fn main() {
@@ -263,16 +273,29 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match sub.as_str() {
-        "generate" => return cmd_generate(&args),
-        "convert" => return cmd_convert(&args),
-        "inspect" => return cmd_inspect(&args),
-        _ => {}
+    let done = match sub.as_str() {
+        "generate" => cmd_generate(&args),
+        "convert" => cmd_convert(&args),
+        "inspect" => cmd_inspect(&args),
+        _ => cmd_run(&args),
+    };
+    if let Err(e) = done {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
+}
 
+fn cmd_run(args: &Args) -> Result<(), String> {
+    // Resolve the configuration before any graph work, so a bad --algo or
+    // --policy fails fast.
+    let cfg = if args.algo == "bfs" {
+        None
+    } else {
+        Some(config_for(args)?)
+    };
     let csr = match &args.input {
-        Some(path) => CsrBuilder::new().build(&load_edge_list(path)),
-        None => build_graph(&args),
+        Some(path) => CsrBuilder::new().build(&load_edge_list(path)?),
+        None => build_graph(args)?,
     };
     let m = csr.num_undirected_edges() as u64;
     let source = args.input.clone().unwrap_or_else(|| args.family.clone());
@@ -287,11 +310,10 @@ fn main() {
     // Deterministic root selection over non-isolated vertices.
     let candidates = csr.vertices().filter(|&v| csr.degree(v) > 0).count();
     if candidates < args.roots {
-        eprintln!(
-            "error: --roots {} needs that many non-isolated vertices, but the graph has {candidates}",
+        return Err(format!(
+            "--roots {} needs that many non-isolated vertices, but the graph has {candidates}",
             args.roots
-        );
-        std::process::exit(2);
+        ));
     }
     let mut roots = Vec::new();
     let mut cursor = args.seed;
@@ -327,7 +349,7 @@ fn main() {
 
     let model = MachineModel::bgq_like();
     for &root in &roots {
-        if args.algo == "bfs" {
+        let Some(cfg) = &cfg else {
             let out = run_bfs(&dg, root, &model);
             if args.validate {
                 assert_eq!(out.depth, sssp_mps::core::bfs::seq_bfs(&csr, root));
@@ -342,9 +364,8 @@ fn main() {
                 out.stats.gteps(m)
             );
             continue;
-        }
-        let cfg = config_for(&args);
-        let out = run_sssp(&dg, root, &cfg, &model);
+        };
+        let out = run_sssp(&dg, root, cfg, &model);
         if args.validate {
             sssp_mps::core::validate::assert_matches_dijkstra(&csr, root, &out);
             println!("root {root}: validated against sequential Dijkstra ✓");
@@ -359,4 +380,5 @@ fn main() {
             out.stats.gteps(m)
         );
     }
+    Ok(())
 }

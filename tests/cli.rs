@@ -1,7 +1,8 @@
-//! `sssp-cli run` on graph files that cannot supply the requested roots:
-//! each must exit 2 with an error message instead of hanging or panicking.
+//! `sssp-cli run` on bad input — graph files that are malformed or cannot
+//! supply the requested roots, unknown option values, zero ranks: each must
+//! exit 2 with an error message instead of hanging or panicking.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -12,13 +13,15 @@ fn graph_file(name: &str, contents: &str) -> PathBuf {
     path
 }
 
-/// Run `sssp-cli run --in <file> <extra>`, killing it after a deadline,
-/// and return its exit code and stderr.
-fn run_cli(file: &PathBuf, extra: &[&str]) -> (Option<i32>, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sssp-cli"))
-        .arg("run")
-        .arg("--in")
-        .arg(file)
+/// Run `sssp-cli run [--in <file>] <extra>`, killing it after a deadline,
+/// and return its exit code and stderr. The file is removed afterwards.
+fn run_cli(file: Option<&Path>, extra: &[&str]) -> (Option<i32>, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sssp-cli"));
+    cmd.arg("run");
+    if let Some(file) = file {
+        cmd.arg("--in").arg(file);
+    }
+    let mut child = cmd
         .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -29,12 +32,14 @@ fn run_cli(file: &PathBuf, extra: &[&str]) -> (Option<i32>, String) {
         if Instant::now() > deadline {
             child.kill().ok();
             child.wait().ok();
-            panic!("sssp-cli {extra:?} on {} did not exit", file.display());
+            panic!("sssp-cli {extra:?} on {file:?} did not exit");
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     let out = child.wait_with_output().expect("collect sssp-cli output");
-    std::fs::remove_file(file).ok();
+    if let Some(file) = file {
+        std::fs::remove_file(file).ok();
+    }
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -44,7 +49,7 @@ fn run_cli(file: &PathBuf, extra: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn too_few_non_isolated_vertices_for_the_roots() {
     let file = graph_file("tiny", "p sp 3 1\na 1 2 5\n");
-    let (code, err) = run_cli(&file, &["--roots", "3", "--ranks", "1"]);
+    let (code, err) = run_cli(Some(&file), &["--roots", "3", "--ranks", "1"]);
     assert_eq!(code, Some(2), "stderr: {err}");
     assert!(err.contains("error"), "stderr: {err}");
 }
@@ -52,7 +57,7 @@ fn too_few_non_isolated_vertices_for_the_roots() {
 #[test]
 fn edgeless_graph_has_no_root() {
     let file = graph_file("edgeless", "p sp 3 0\n");
-    let (code, err) = run_cli(&file, &[]);
+    let (code, err) = run_cli(Some(&file), &[]);
     assert_eq!(code, Some(2), "stderr: {err}");
     assert!(err.contains("error"), "stderr: {err}");
 }
@@ -60,7 +65,7 @@ fn edgeless_graph_has_no_root() {
 #[test]
 fn empty_graph_has_no_root() {
     let file = graph_file("empty", "p sp 0 0\n");
-    let (code, err) = run_cli(&file, &[]);
+    let (code, err) = run_cli(Some(&file), &[]);
     assert_eq!(code, Some(2), "stderr: {err}");
     assert!(err.contains("error"), "stderr: {err}");
 }
@@ -68,6 +73,25 @@ fn empty_graph_has_no_root() {
 #[test]
 fn enough_roots_still_run() {
     let file = graph_file("ok", "p sp 3 2\na 1 2 5\na 2 3 1\n");
-    let (code, err) = run_cli(&file, &["--roots", "3", "--ranks", "2"]);
+    let (code, err) = run_cli(Some(&file), &["--roots", "3", "--ranks", "2"]);
     assert_eq!(code, Some(0), "stderr: {err}");
+}
+
+#[test]
+fn bad_input_exits_2_with_an_error_line() {
+    let ok = "p sp 3 2\na 1 2 5\na 2 3 1\n";
+    for (name, graph, extra) in [
+        ("malformed", Some("p sp 2 1\na 1 5 9\n"), &[][..]),
+        ("huge", Some("p sp 4294967297 1\na 4294967297 1 5\n"), &[]),
+        ("algo", Some(ok), &["--algo", "nope"]),
+        ("policy", Some(ok), &["--policy", "nope"]),
+        ("family", None, &["--family", "nope", "--scale", "4"]),
+        ("ranks", None, &["--ranks", "0", "--scale", "4"]),
+    ] {
+        let file = graph.map(|g| graph_file(name, g));
+        let (code, err) = run_cli(file.as_deref(), extra);
+        assert_eq!(code, Some(2), "{name}: stderr: {err}");
+        assert!(err.contains("error: "), "{name}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{name}: stderr: {err}");
+    }
 }
